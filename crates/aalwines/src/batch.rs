@@ -15,8 +15,7 @@
 //! order — a blown budget degrades answers, it never panics or drops
 //! slots.
 
-use crate::engine::{Answer, Engine, EngineStats, Verifier, VerifyOptions};
-use netmodel::Network;
+use crate::engine::{Answer, Engine, EngineStats, VerifyOptions};
 use pdaal::budget::{AbortReason, CancelToken};
 use query::Query;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -146,8 +145,7 @@ impl BatchOptions {
 /// spent answer `Aborted` without running.
 ///
 /// This is the crate-internal engine-parameterized core behind
-/// [`Session::verify_batch`](crate::session::Session::verify_batch)
-/// and the deprecated free-function shims.
+/// [`Session::verify_batch`](crate::session::Session::verify_batch).
 pub(crate) fn run_batch(
     engine: &dyn Engine,
     queries: &[Query],
@@ -213,70 +211,13 @@ pub(crate) fn run_batch(
     collect_answers(results)
 }
 
-/// Deprecated free-function batch entry point.
-///
-/// Prefer [`Session`](crate::session::Session): it keeps the network,
-/// precomputation, and construction cache resident across calls instead
-/// of paying validation and precomputation on every invocation, and it
-/// supports incremental re-verification after dataplane deltas.
-#[deprecated(
-    since = "0.2.0",
-    note = "use aalwines::SessionBuilder / Session::verify_batch instead"
-)]
-pub fn verify_batch_with(
-    engine: &dyn Engine,
-    queries: &[Query],
-    opts: &VerifyOptions,
-    batch: &BatchOptions,
-) -> Vec<Answer> {
-    run_batch(engine, queries, opts, batch)
-}
-
-/// Deprecated convenience wrapper: verify `queries` against `net` with
-/// the dual engine using up to `threads` worker threads.
-///
-/// Prefer [`Session`](crate::session::Session), which amortizes
-/// validation and precomputation across calls.
-#[deprecated(
-    since = "0.2.0",
-    note = "use aalwines::SessionBuilder / Session::verify_batch instead"
-)]
-pub fn verify_batch(
-    net: &Network,
-    queries: &[Query],
-    opts: &VerifyOptions,
-    threads: usize,
-) -> Vec<Answer> {
-    run_batch(
-        &Verifier::new(net),
-        queries,
-        opts,
-        &BatchOptions::new().with_threads(threads),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::examples::paper_network;
-    use crate::Outcome;
+    use crate::{Outcome, Verifier};
+    use netmodel::Network;
     use query::parse_query;
-
-    /// Test-local stand-in for the deprecated convenience wrapper
-    /// (shadows the glob import so tests stay deprecation-clean).
-    fn verify_batch(
-        net: &Network,
-        queries: &[Query],
-        opts: &VerifyOptions,
-        threads: usize,
-    ) -> Vec<Answer> {
-        run_batch(
-            &Verifier::new(net),
-            queries,
-            opts,
-            &BatchOptions::new().with_threads(threads),
-        )
-    }
 
     fn queries() -> Vec<Query> {
         [
@@ -297,9 +238,19 @@ mod tests {
         let net = paper_network();
         let qs = queries();
         let opts = VerifyOptions::default();
-        let sequential = verify_batch(&net, &qs, &opts, 1);
+        let sequential = run_batch(
+            &Verifier::new(&net),
+            &qs,
+            &opts,
+            &BatchOptions::new().with_threads(1),
+        );
         for threads in [2, 4, 8] {
-            let parallel = verify_batch(&net, &qs, &opts, threads);
+            let parallel = run_batch(
+                &Verifier::new(&net),
+                &qs,
+                &opts,
+                &BatchOptions::new().with_threads(threads),
+            );
             assert_eq!(sequential.len(), parallel.len());
             for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
                 assert_eq!(
@@ -318,14 +269,25 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let net = paper_network();
-        assert!(verify_batch(&net, &[], &VerifyOptions::default(), 4).is_empty());
+        assert!(run_batch(
+            &Verifier::new(&net),
+            &[],
+            &VerifyOptions::default(),
+            &BatchOptions::new().with_threads(4),
+        )
+        .is_empty());
     }
 
     #[test]
     fn more_threads_than_queries_is_fine() {
         let net = paper_network();
         let qs = queries();
-        let out = verify_batch(&net, &qs[..2], &VerifyOptions::default(), 32);
+        let out = run_batch(
+            &Verifier::new(&net),
+            &qs[..2],
+            &VerifyOptions::default(),
+            &BatchOptions::new().with_threads(32),
+        );
         assert_eq!(out.len(), 2);
     }
 
@@ -453,7 +415,12 @@ mod tests {
         let mut qs = queries();
         let bad = 2usize;
         qs.insert(bad, parse_query("<ip> [.#v0] .* [v3#.] <ip> 7").unwrap());
-        let reference = verify_batch(&net, &qs, &VerifyOptions::default(), 1);
+        let reference = run_batch(
+            &Verifier::new(&net),
+            &qs,
+            &VerifyOptions::default(),
+            &BatchOptions::new().with_threads(1),
+        );
         let engine = MarkerPanicEngine {
             inner: Verifier::new(&net),
         };
@@ -519,7 +486,12 @@ mod tests {
         let mut qs = queries();
         let half = qs.len();
         qs.extend(qs.clone());
-        let out = verify_batch(&net, &qs, &VerifyOptions::default(), 1);
+        let out = run_batch(
+            &Verifier::new(&net),
+            &qs,
+            &VerifyOptions::default(),
+            &BatchOptions::new().with_threads(1),
+        );
         let hits: usize = out.iter().map(|a| a.stats.cache_hits).sum();
         assert!(hits > 0, "second copies of each query must hit the cache");
         for i in 0..half {

@@ -341,6 +341,12 @@ impl NetworkPrecomp {
                 .or_default()
                 .push(PrecompKey { label, groups });
         }
+        // The routing table is a `HashMap`: sort each link's keys, or
+        // their order — hence PDS rule order and which equal-weight
+        // witness is found — differs between processes.
+        for keys in keys_of_link.values_mut() {
+            keys.sort_unstable_by_key(|k| k.label);
+        }
         let mut precomp = NetworkPrecomp {
             n_symbols: num_labels as u32,
             keys_of_link,

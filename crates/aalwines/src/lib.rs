@@ -88,8 +88,6 @@ pub mod stream;
 pub mod telemetry;
 
 pub use batch::BatchOptions;
-#[allow(deprecated)] // re-exported so downstream code keeps compiling with a warning
-pub use batch::{verify_batch, verify_batch_with};
 pub use cache::{ConstructionCache, Footprint, InvalidationReport, DEFAULT_CACHE_SIZE};
 pub use construction::NetworkPrecomp;
 pub use engine::{

@@ -310,8 +310,8 @@ pub fn verify_moped(net: &Network, q: &Query) -> Answer {
 }
 
 /// The Moped-style baseline as an [`Engine`], so the CLI and
-/// [`verify_batch_with`](crate::batch::verify_batch_with) can dispatch
-/// over backends uniformly.
+/// [`Session`](crate::session::Session) can dispatch over backends
+/// uniformly.
 ///
 /// Budget semantics are coarser than the dual engine's: deadlines and
 /// cancellation are honoured at phase boundaries only (the classic

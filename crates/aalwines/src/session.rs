@@ -2,14 +2,12 @@
 //! state (precomputation, construction cache, watched queries), with
 //! **incremental re-verification** after dataplane deltas.
 //!
-//! The free functions [`verify_batch`](crate::batch::verify_batch) /
-//! [`verify_batch_with`](crate::batch::verify_batch_with) treat every
-//! call as a cold start: validation, precomputation, and the
-//! construction cache all live and die inside one invocation. A
-//! [`Session`] inverts that — it *owns* the network and keeps the
-//! expensive query-independent state resident across calls, which is
-//! what a long-lived service (the `aalwinesd` daemon, the GUI bridge)
-//! actually needs:
+//! A bare [`Verifier`] is a cold start per network value: validation,
+//! precomputation, and the construction cache all live and die with
+//! the borrow. A [`Session`] inverts that — it *owns* the network and
+//! keeps the expensive query-independent state resident across calls,
+//! which is what a long-lived service (the `aalwinesd` daemon, the GUI
+//! bridge) actually needs:
 //!
 //! * [`Session::verify`] / [`Session::verify_batch`] reuse the shared
 //!   [`NetworkPrecomp`] and [`ConstructionCache`] without re-validating
@@ -296,10 +294,6 @@ pub struct SessionStats {
     pub backend: &'static str,
     /// Worker threads used by [`Session::verify_batch`].
     pub threads: usize,
-    /// Intra-query saturation threads every verification runs with
-    /// (normalized: `>= 1`; see
-    /// [`VerifyOptions::saturation_threads`]).
-    pub saturation_threads: usize,
     /// Queries answered since the session opened (single + batch).
     pub queries: usize,
     /// Deltas that actually changed the dataplane.
@@ -340,7 +334,6 @@ impl SessionStats {
         let mut o = JsonObject::new();
         o.string("backend", self.backend);
         o.number("threads", self.threads as f64);
-        o.number("saturationThreads", self.saturation_threads as f64);
         o.number("queries", self.queries as f64);
         o.number("deltasApplied", self.deltas_applied as f64);
         o.number("invalidatedTotal", self.invalidated_total as f64);
@@ -405,16 +398,6 @@ impl SessionBuilder {
     /// inline).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Threads used *inside* each single verification (sharded
-    /// saturation plus concurrent over/under phases; 0 or 1 runs the
-    /// sequential engine). Composes with [`SessionBuilder::threads`]:
-    /// batch workers each verify whole queries, and every such
-    /// verification additionally parallelizes internally.
-    pub fn saturation_threads(mut self, n: usize) -> Self {
-        self.opts = self.opts.with_saturation_threads(n);
         self
     }
 
@@ -924,7 +907,6 @@ impl Session {
         let mut s = SessionStats {
             backend: self.backend.as_str(),
             threads: self.threads,
-            saturation_threads: self.opts.saturation_threads.max(1),
             queries: self.queries.load(Ordering::Relaxed),
             deltas_applied: self.deltas_applied,
             invalidated_total: self.invalidated_total,

@@ -1,23 +1,30 @@
-//! Intra-query parallelism determinism suite: `--sat-threads N` must be
-//! **observably invisible**. For every thread count the engine must
-//! produce byte-identical answers (verdict, witness trace with its
-//! headers, failed-link set, weight vector) and identical non-timing
-//! statistics (rule/transition/pop/mid-state counters, peak worklist
-//! bytes, cache hit/miss counters, resident-byte estimates) — on the
-//! paper network, on weighted queries, on chaos-mutated dataplanes from
-//! three independent seeds, and across repeated runs.
+//! Repeatability suite: the same dataplane held in two independent
+//! `Network` values must verify to **byte-identical** answers (verdict,
+//! witness trace with its headers, failed-link set, weight vector) and
+//! identical non-timing statistics (rule/transition/pop/mid-state
+//! counters, peak worklist bytes, cache hit/miss counters,
+//! resident-byte estimates), cold and warm.
 //!
-//! The only stats field allowed to differ is `saturation_threads`
-//! itself (a configuration echo) and the timing fields.
+//! The routing table is a `HashMap`; every instance draws its own hash
+//! seed, so two values with equal contents iterate in different orders —
+//! the in-process stand-in for "two processes". Anything between the
+//! table and the answer that leaks that order (PDS rule order, which
+//! equal-weight witness is found, `satisfied` vs `inconclusive`) fails
+//! here — on the paper network, on weighted queries, on a generated
+//! Zoo-like dataplane (the case large enough that an order leak moves
+//! the counters), on the failover-loop network that forces the
+//! under-approximation, and on chaos-mutated dataplanes from three
+//! independent seeds.
 
 use aalwines::examples::paper_network;
-use aalwines::{
-    AtomicQuantity, Engine, EngineStats, Outcome, Session, Verifier, VerifyOptions, WeightSpec,
-};
+use aalwines::{AtomicQuantity, Engine, EngineStats, Outcome, Verifier, VerifyOptions, WeightSpec};
 use chaos::{mutate, paper_queries, MutationKind};
 use detrand::DetRng;
 use netmodel::{LabelTable, Network, Op, RoutingEntry, Topology};
 use query::{parse_query, Query};
+use topogen::lsp::{build_mpls_dataplane, LspConfig};
+use topogen::queries::figure4_queries;
+use topogen::zoo::{zoo_like, ZooConfig};
 
 /// Canonical rendering of an outcome: witness trace (headers included),
 /// sorted failed links, weight vector. `failed_links` is a `HashSet`
@@ -37,10 +44,8 @@ fn outcome_repr(outcome: &Outcome) -> String {
     }
 }
 
-/// Every non-timing stats field except the `saturation_threads`
-/// configuration echo. `bytes_resident` is deliberately included: it
-/// depends on the construction cache's exact contents, so it pins the
-/// concurrent engine's join-time cache-replay protocol.
+/// Every non-timing stats field. `bytes_resident` is deliberately
+/// included: it depends on the construction cache's exact contents.
 fn stats_repr(s: &EngineStats) -> String {
     format!(
         "rulesOver={} rulesRemoved={} rulesUnder={} satTransitions={} \
@@ -65,26 +70,31 @@ fn stats_repr(s: &EngineStats) -> String {
     )
 }
 
+/// `net` rebuilt rule by rule into a fresh `Network`: equal contents,
+/// its own routing `HashMap` and therefore its own hash seed.
+fn rebuilt(net: &Network) -> Network {
+    let mut keys: Vec<_> = net.routing_keys().collect();
+    keys.sort_unstable();
+    let mut out = Network::new(net.topology.clone(), net.labels.clone());
+    for (link, label) in keys {
+        for (gi, group) in net.groups(link, label).iter().enumerate() {
+            for entry in group {
+                out.add_rule_unchecked(link, label, gi + 1, entry.clone());
+            }
+        }
+    }
+    out
+}
+
 /// Run the whole query sequence (twice, so the second pass answers from
-/// a warm cache) through one fresh verifier configured with `threads`
-/// and return the canonical transcript.
-fn transcript(
-    net: &netmodel::routing::Network,
-    queries: &[Query],
-    opts: &VerifyOptions,
-    threads: usize,
-) -> Vec<String> {
-    let opts = opts.clone().with_saturation_threads(threads);
+/// a warm cache) through one fresh verifier and return the canonical
+/// transcript.
+fn transcript(net: &Network, queries: &[Query], opts: &VerifyOptions) -> Vec<String> {
     let verifier = Verifier::new(net);
     let mut out = Vec::with_capacity(queries.len() * 2);
-    for pass in 0..2 {
-        for (qi, q) in queries.iter().enumerate() {
-            let a = verifier.verify(q, &opts);
-            assert_eq!(
-                a.stats.saturation_threads,
-                threads.max(1),
-                "pass {pass} q{qi}: stats must echo the configured thread count"
-            );
+    for _ in 0..2 {
+        for q in queries {
+            let a = verifier.verify(q, opts);
             out.push(format!(
                 "{} | {}",
                 outcome_repr(&a.outcome),
@@ -95,29 +105,70 @@ fn transcript(
     out
 }
 
+/// Independent rebuilds compared against each case's first transcript.
+const TWINS: usize = 3;
+
+/// Assert that `TWINS` independent rebuilds of `net` all produce the
+/// transcript of the first; returns that transcript.
+fn assert_repeats(
+    net: &Network,
+    queries: &[Query],
+    opts: &VerifyOptions,
+    what: &str,
+) -> Vec<String> {
+    let baseline = transcript(&rebuilt(net), queries, opts);
+    for twin in 1..=TWINS {
+        assert_eq!(
+            transcript(&rebuilt(net), queries, opts),
+            baseline,
+            "{what} twin {twin}: transcript differs between two Network values of one dataplane"
+        );
+    }
+    baseline
+}
+
 #[test]
-fn paper_network_answers_are_thread_count_invariant() {
+fn paper_network_answers_repeat_across_network_instances() {
     let net = paper_network();
     let queries = paper_queries();
     let weighted = VerifyOptions::new().with_weights(WeightSpec::single(AtomicQuantity::Hops));
     for (oi, opts) in [VerifyOptions::new(), weighted].iter().enumerate() {
-        let baseline = transcript(&net, &queries, opts, 1);
-        // The corpus must actually exercise the warm-cache path, or
-        // this test proves nothing about the concurrent engine's
-        // join-time cache-replay bookkeeping.
+        let baseline = assert_repeats(&net, &queries, opts, &format!("opts#{oi}"));
+        // The corpus must actually exercise the warm-cache path.
         assert!(
             baseline.iter().any(|l| !l.contains("cacheHits=0")),
             "opts#{oi}: corpus never hit the construction cache"
         );
-        for threads in [2usize, 4, 8] {
-            for run in 0..2 {
-                let got = transcript(&net, &queries, opts, threads);
-                assert_eq!(
-                    got, baseline,
-                    "opts#{oi} threads {threads} run {run}: transcript diverged"
-                );
-            }
-        }
+    }
+}
+
+/// The paper network has a handful of keys per link, too few for key
+/// order to move any counter; a few hundred generated rules are enough
+/// (on the unsorted precomp `peakWorklistBytes` differed between twins).
+#[test]
+fn generated_zoo_answers_repeat_across_network_instances() {
+    let topo = zoo_like(&ZooConfig {
+        routers: 24,
+        avg_degree: 3.0,
+        seed: 0xBEEF01,
+    });
+    let dp = build_mpls_dataplane(
+        topo,
+        &LspConfig {
+            edge_routers: 6,
+            max_pairs: 24,
+            protect: true,
+            service_chains: 20,
+            seed: 0xBEEF02,
+        },
+    );
+    let queries: Vec<Query> = figure4_queries(&dp, 4, 0xBEEF03)
+        .iter()
+        .map(|q| parse_query(q).expect("generated queries parse"))
+        .collect();
+    let weighted = VerifyOptions::new().with_weights(WeightSpec::single(AtomicQuantity::Hops));
+    for (oi, opts) in [VerifyOptions::new(), weighted].iter().enumerate() {
+        assert_repeats(&dp.net, &queries, opts, &format!("zoo opts#{oi}"));
     }
 }
 
@@ -130,8 +181,6 @@ fn paper_network_answers_are_thread_count_invariant() {
 /// loop with one failure — but `feasible_failures` rejects the witness
 /// (a link cannot be both failed and traversed), producing
 /// `Phase::Infeasible` and forcing the under-approximation to run.
-/// This is the one corpus entry that pins the concurrent engine's
-/// join-time replay of the speculative under phase.
 fn failover_loop() -> (Network, Vec<Query>) {
     let mut t = Topology::new();
     let xin = t.add_router("x_in", None);
@@ -176,35 +225,24 @@ fn failover_loop() -> (Network, Vec<Query>) {
     (net, queries)
 }
 
-/// The corpus entry that actually runs the speculative under phase:
-/// answers and non-timing stats (including the under-phase saturation
-/// counters and the cache-replay bookkeeping) must be identical for
-/// every thread count and across repeated runs, unweighted and
-/// weighted.
+/// The corpus entry that actually runs the under phase: answers and
+/// non-timing stats (including the under-phase saturation counters)
+/// repeat, unweighted and weighted.
 #[test]
-fn under_phase_replay_is_thread_count_invariant() {
+fn under_phase_repeats_across_network_instances() {
     let (net, queries) = failover_loop();
     let weighted = VerifyOptions::new().with_weights(WeightSpec::single(AtomicQuantity::Hops));
     for (oi, opts) in [VerifyOptions::new(), weighted].iter().enumerate() {
-        let baseline = transcript(&net, &queries, opts, 1);
+        let baseline = assert_repeats(&net, &queries, opts, &format!("opts#{oi}"));
         assert!(
             baseline.iter().all(|l| !l.contains("underRuns=0")),
             "opts#{oi}: the failover loop must run the under-approximation\n{baseline:#?}"
         );
-        for threads in [2usize, 4, 8] {
-            for run in 0..2 {
-                let got = transcript(&net, &queries, opts, threads);
-                assert_eq!(
-                    got, baseline,
-                    "opts#{oi} threads {threads} run {run}: transcript diverged"
-                );
-            }
-        }
     }
 }
 
 #[test]
-fn chaos_mutants_are_thread_count_invariant() {
+fn chaos_mutants_repeat_across_network_instances() {
     let base = paper_network();
     let queries = paper_queries();
     for seed in [0x5EED_D001u64, 0x5EED_D002, 0x5EED_D003] {
@@ -218,45 +256,13 @@ fn chaos_mutants_are_thread_count_invariant() {
                 continue;
             };
             net.repair();
-            let qs = std::slice::from_ref(&queries[checked % queries.len()]);
-            let opts = VerifyOptions::new();
-            let baseline = transcript(&net, qs, &opts, 1);
-            for threads in [2usize, 4] {
-                let got = transcript(&net, qs, &opts, threads);
-                assert_eq!(
-                    got,
-                    baseline,
-                    "seed {seed:#x} mutant#{checked} ({}) threads {threads}",
-                    kind.as_str()
-                );
-            }
+            let what = format!("seed {seed:#x} mutant#{checked} ({})", kind.as_str());
+            assert_repeats(&net, &queries, &VerifyOptions::new(), &what);
             checked += 1;
         }
         assert!(
             checked >= 4,
             "seed {seed:#x}: only {checked} mutants checked"
         );
-    }
-}
-
-/// The session layer forwards the knob: a resident session built with
-/// `saturation_threads(n)` answers identically to a sequential one and
-/// reports the setting in its stats.
-#[test]
-fn session_saturation_threads_forwarding() {
-    let net = paper_network();
-    // Threads pinned explicitly on both sessions: the suite must pass
-    // under CI's `AALWINES_SAT_THREADS` default-override leg too.
-    let seq = Session::builder().saturation_threads(1).open(net.clone());
-    let par = Session::builder().saturation_threads(4).open(net);
-    assert_eq!(seq.stats().saturation_threads, 1);
-    assert_eq!(par.stats().saturation_threads, 4);
-    assert!(seq.stats().to_json().contains("\"saturationThreads\":1"));
-    for q in &paper_queries() {
-        let a = seq.verify(q);
-        let b = par.verify(q);
-        assert_eq!(outcome_repr(&a.outcome), outcome_repr(&b.outcome));
-        assert_eq!(a.stats.peak_worklist_bytes, b.stats.peak_worklist_bytes);
-        assert_eq!(b.stats.saturation_threads, 4);
     }
 }

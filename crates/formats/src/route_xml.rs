@@ -117,8 +117,6 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
             root.name
         )));
     }
-    let mut labels = LabelTable::new();
-    // First pass: intern all labels so kinds are fixed before rules.
     let routings = root
         .first_child("routings")
         .ok_or_else(|| FormatError::Semantic("missing <routings>".into()))?;
@@ -166,7 +164,7 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                         "router {rname:?} has no incoming interface {from_if:?}"
                     ))
                 })?;
-            let label = intern(&mut labels, dest)?;
+            let label = intern(&mut net.labels, dest)?;
             let Some(te_groups) = dest.first_child("te-groups") else {
                 continue;
             };
@@ -190,8 +188,8 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                         for action in actions.children_named("action") {
                             let ty = action.require_attr("type")?;
                             let op = match ty {
-                                "swap" => Op::Swap(intern(&mut labels, action)?),
-                                "push" => Op::Push(intern(&mut labels, action)?),
+                                "swap" => Op::Swap(intern(&mut net.labels, action)?),
+                                "push" => Op::Push(intern(&mut net.labels, action)?),
                                 "pop" => Op::Pop,
                                 other => {
                                     return Err(FormatError::Semantic(format!(
@@ -202,9 +200,6 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
                             ops.push(op);
                         }
                     }
-                    // Defer adding until labels table is attached below;
-                    // Network owns its table, so splice it in each time.
-                    net.labels = labels.clone();
                     net.add_rule(
                         in_link,
                         label,
@@ -218,7 +213,6 @@ pub fn parse_routes(doc: &str, topo: Topology) -> Result<Network, FormatError> {
             }
         }
     }
-    net.labels = labels;
     Ok(net)
 }
 
@@ -278,6 +272,64 @@ mod tests {
                 "outcome changed after round trip for {q}"
             );
         }
+    }
+
+    /// Every rule of `net` rendered by names only (label ids differ
+    /// between a generated network and its re-parse), sorted.
+    fn rules_by_name(net: &Network) -> Vec<String> {
+        let topo = &net.topology;
+        let mut out = Vec::new();
+        for (link, label) in net.routing_keys() {
+            for (gi, group) in net.groups(link, label).iter().enumerate() {
+                for entry in group {
+                    let ops: Vec<String> = entry
+                        .ops
+                        .iter()
+                        .map(|op| match op {
+                            Op::Swap(l) => format!("swap {}", net.labels.name(*l)),
+                            Op::Push(l) => format!("push {}", net.labels.name(*l)),
+                            Op::Pop => "pop".into(),
+                        })
+                        .collect();
+                    out.push(format!(
+                        "{}:{} {} p{gi} -> {} {ops:?}",
+                        topo.router(topo.dst(link)).name,
+                        topo.link(link).dst_if,
+                        net.labels.name(label),
+                        topo.link(entry.out).src_if,
+                    ));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// A ≥ 5k-rule generated dataplane survives write → parse rule for
+    /// rule, and label ids are handed out in first-seen document order.
+    /// (`write_routes` orders destinations by label id, so the *text* is
+    /// only a fixed point once ids already follow document order; the
+    /// name-level comparison does not depend on that.)
+    #[test]
+    fn generated_dataplane_round_trips_with_first_seen_label_ids() {
+        let net = topogen::nordunet_like(0.03).net;
+        assert!(net.num_rules() >= 5_000, "{} rules", net.num_rules());
+        let topo_text = crate::topo_xml::write_topology(&net.topology);
+        let text = write_routes(&net);
+        let back =
+            parse_routes(&text, crate::topo_xml::parse_topology(&topo_text).unwrap()).unwrap();
+        assert_eq!(rules_by_name(&back), rules_by_name(&net));
+
+        let mut first_seen: Vec<&str> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for piece in text.split(" label=\"").skip(1) {
+            let name = &piece[..piece.find('"').unwrap()];
+            if seen.insert(name) {
+                first_seen.push(name);
+            }
+        }
+        let ids: Vec<&str> = back.labels.all().map(|l| back.labels.name(l)).collect();
+        assert_eq!(ids, first_seen);
     }
 
     #[test]

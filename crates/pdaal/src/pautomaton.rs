@@ -421,52 +421,6 @@ impl<W: Weight> PAutomaton<W> {
         }
     }
 
-    /// Combine `weight` into the existing transition `id`: the strict-
-    /// improvement half of [`insert_or_combine`](Self::insert_or_combine)
-    /// with the index lookup already done. The parallel committer uses
-    /// this when a speculatively computed plan pins the target id.
-    pub(crate) fn combine_at(&mut self, id: TransId, weight: W, prov: Provenance) -> bool {
-        let t = &mut self.transitions[id.index()];
-        if weight < t.weight {
-            t.weight = weight;
-            t.prov = prov;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Insert a transition known to be absent: the insertion half of
-    /// [`insert_or_combine`](Self::insert_or_combine) without the lookup.
-    /// Callers must guarantee `(from, label, to)` does not exist yet
-    /// (checked in debug builds).
-    pub(crate) fn insert_new_trans(
-        &mut self,
-        from: AutState,
-        label: TLabel,
-        to: AutState,
-        weight: W,
-        prov: Provenance,
-    ) -> TransId {
-        debug_assert!(from.0 < self.n_states && to.0 < self.n_states);
-        debug_assert!(
-            self.find(from, label, to).is_none(),
-            "insert_new_trans: transition already exists"
-        );
-        let key = pack_key(label, to);
-        let id = TransId(self.transitions.len() as u32);
-        self.transitions.push(Transition {
-            from,
-            label,
-            to,
-            weight,
-            prov,
-        });
-        self.index[from.index()].insert_new(key, id);
-        self.out[from.index()].push(id);
-        id
-    }
-
     /// The transition with the given id.
     pub fn transition(&self, id: TransId) -> &Transition<W> {
         &self.transitions[id.index()]

@@ -58,9 +58,8 @@ pub struct SaturationStats {
     pub worklist_requeues_avoided: usize,
     /// Peak bytes of the *logical* worklist: queued transition ids plus
     /// the on-worklist flag array, sampled at every pop. Defined over
-    /// lengths (not capacities) so the value is identical for every
-    /// thread count and machine — it measures the algorithm's frontier,
-    /// not the allocator.
+    /// lengths (not capacities) so the value is identical on every
+    /// machine — it measures the algorithm's frontier, not the allocator.
     pub peak_worklist_bytes: usize,
 }
 
@@ -300,6 +299,18 @@ pub fn post_star_budgeted<W: Weight>(
 
     stats.transitions = aut.transitions().len();
     Ok((aut, stats))
+}
+
+// Frozen caller: `aalbench/src/replay.rs` calls this with `threads == 1`.
+// The next `benchmark` PR moves it to `post_star_budgeted` and drops this.
+#[doc(hidden)]
+pub fn post_star_threaded<W: Weight>(
+    pds: &Pds<W>,
+    initial: &PAutomaton<W>,
+    budget: &Budget,
+    _threads: usize,
+) -> Result<(PAutomaton<W>, SaturationStats), SaturationAbort> {
+    post_star_budgeted(pds, initial, budget)
 }
 
 #[cfg(test)]

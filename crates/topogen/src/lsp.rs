@@ -311,7 +311,11 @@ pub fn build_mpls_dataplane(mut core: Topology, cfg: &LspConfig) -> Dataplane {
                 keyed_on.entry(*in_link).or_default().push(i);
             }
         }
-        let protected: Vec<LinkId> = over_link.keys().copied().collect();
+        // Sorted: bypass labels are interned and protection rules
+        // appended per link, so `HashMap` order would make two calls
+        // with one seed produce different label ids and rule order.
+        let mut protected: Vec<LinkId> = over_link.keys().copied().collect();
+        protected.sort_unstable();
         let mut new_rules: Vec<(LinkId, LabelId, usize, RoutingEntry)> = Vec::new();
         for e in protected {
             let (u, v) = (core.src(e), core.dst(e));
@@ -451,6 +455,27 @@ mod tests {
         assert_eq!(dp.ext_out.len(), 6);
         assert!(!dp.ip_labels.is_empty());
         assert!(!dp.service_labels.is_empty());
+    }
+
+    /// One config, one dataplane: label ids and the rule order inside
+    /// every group repeat between calls (each call has its own hash
+    /// seeds, like two processes).
+    #[test]
+    fn generation_repeats_between_calls() {
+        let render = |dp: &Dataplane| {
+            let mut keys: Vec<_> = dp.net.routing_keys().collect();
+            keys.sort_unstable();
+            keys.iter()
+                .map(|&(l, lab)| {
+                    let groups = dp.net.groups(l, lab);
+                    format!("{l:?} {} {groups:?}", dp.net.labels.name(lab))
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = render(&small_dataplane());
+        for _ in 0..3 {
+            assert_eq!(render(&small_dataplane()), first);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn usage() -> ! {
          \x20        [--locations loc.json] (--query '<a> b <c> k' ... | --stdin)\n\
          \x20        [--weight 'expr, expr, ...'] [--engine dual|moped] [--no-reduction]\n\
          \x20        [--deadline-ms N] [--batch-deadline-ms N] [--max-transitions N]\n\
-         \x20        [--threads N] [--sat-threads N] [--no-cache] [--cache-size N]\n\
+         \x20        [--threads N] [--no-cache] [--cache-size N]\n\
          \x20        [--window N] [--progress-ms N]\n\
          \x20        [--stats] [--json] [--repair]\n\
          \x20        [--write-topology out.xml] [--write-routing out.xml]\n\
@@ -445,18 +445,6 @@ fn main() -> ExitCode {
             Ok(max) => opts = opts.with_transition_budget(max),
             Err(_) => {
                 eprintln!("--max-transitions: expected a count, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // --threads parallelizes *across* queries (one batch worker per
-    // whole query); --sat-threads parallelizes *inside* each single
-    // verification and yields byte-identical answers at any setting.
-    if let Some(v) = value("--sat-threads") {
-        match v.parse::<usize>() {
-            Ok(n) => opts = opts.with_saturation_threads(n),
-            Err(_) => {
-                eprintln!("--sat-threads: expected a count, got {v:?}");
                 return ExitCode::FAILURE;
             }
         }
