@@ -1,42 +1,42 @@
-//! Bounded cache of per-query compiled construction artifacts.
+//! Bounded memo of decided answers.
 //!
-//! [`ConstructionCache`] is a small thread-safe LRU keyed by a
-//! caller-computed fingerprint string plus the artifact's concrete type,
-//! storing values as `Arc<dyn Any + Send + Sync>`. The dual engine uses
-//! it to skip PDS construction and reduction when the same (query, `k`,
-//! mode, weight spec) combination is verified again against the same
-//! network; `verify_batch` workers share one cache through the
-//! `Verifier` they all borrow.
+//! Verification is a deterministic function of (network, query, weight
+//! specification, reduction toggle), so [`AnswerCache`] memoises its
+//! *output*: a thread-safe LRU from [`CacheKey`] — the parsed query and
+//! the two answer-shaping options, compared by value — to the decided
+//! [`Answer`] and the [`Footprint`] of links its computation read. A
+//! repeated query is answered before it is even compiled; nothing the
+//! engine builds on the way (pushdown systems, automata) is retained.
 //!
 //! The cache does not expire entries by itself: it is owned by a
 //! `Verifier` (or a [`Session`](crate::session::Session)) bound to one
 //! `Network` value. A *dataplane delta* invalidates entries selectively:
-//! every artifact inserted through [`ConstructionCache::get_or_build_tracked`]
-//! records the [`Footprint`] of links its construction read, and
-//! [`ConstructionCache::invalidate_intersecting`] drops exactly the
-//! entries whose footprint intersects the delta's touched links —
-//! everything else stays warm. Fingerprints are full keys (the complete
-//! canonical rendering of the query-shaping inputs), not lossy hashes —
-//! two distinct queries can never collide into the same artifact.
+//! [`AnswerCache::invalidate_intersecting`] drops exactly the entries
+//! whose footprint intersects the delta's touched links — everything
+//! else keeps answering, provably unchanged. Budget-dependent outcomes
+//! (`Aborted`, `Error`) are never stored.
 
+use crate::engine::{Answer, Outcome};
+use crate::quantities::WeightSpec;
 use netmodel::LinkId;
-use std::any::{Any, TypeId};
+use query::{LabelAtom, LinkAtom, Query, Regex};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::mem::{size_of, size_of_val};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Default number of compiled artifacts a `Verifier`'s cache holds.
+/// Default number of answers a `Verifier`'s cache holds.
 pub const DEFAULT_CACHE_SIZE: usize = 64;
 
-/// A compact set of link ids — the part of the network a compiled
-/// artifact depends on, and the part of the network a dataplane delta
-/// touches.
+/// A compact set of link ids — the part of the network an answer depends
+/// on, and the part of the network a dataplane delta touches.
 ///
 /// The PDS construction reads the routing table only through the keys of
 /// links its state exploration visits (every start link of the query's
 /// path automaton plus every link reachable from them within the failure
 /// budget), so the visited-link set is a sound dependency footprint: a
-/// delta to the rules of any *other* link cannot change the compiled
-/// artifact. Represented as a bitset over dense link ids.
+/// delta to the rules of any *other* link cannot change the pushdown
+/// system, hence not its saturation, hence not the answer. Represented
+/// as a bitset over dense link ids.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Footprint {
     bits: Vec<u64>,
@@ -64,6 +64,16 @@ impl Footprint {
             self.bits.resize(word + 1, 0);
         }
         self.bits[word] |= 1u64 << bit;
+    }
+
+    /// Add every link of `other`.
+    pub fn union_with(&mut self, other: &Footprint) {
+        if self.bits.len() < other.bits.len() {
+            self.bits.resize(other.bits.len(), 0);
+        }
+        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+            *a |= b;
+        }
     }
 
     /// Whether `link` is in the footprint.
@@ -95,54 +105,104 @@ impl Footprint {
                 .map(move |b| LinkId((wi * 64 + b) as u32))
         })
     }
-
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.bits.capacity() * 8
-    }
 }
 
-/// What [`ConstructionCache::invalidate_intersecting`] did: how many
-/// entries a delta evicted and how many stayed warm.
+/// What [`AnswerCache::invalidate_intersecting`] did: how many entries a
+/// delta evicted and how many stayed warm.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InvalidationReport {
     /// Entries dropped because their footprint intersects the delta's
-    /// touched links (or because they carried no footprint, which is
-    /// conservatively treated as "depends on everything").
+    /// touched links.
     pub invalidated: usize,
-    /// Entries that survived with their compiled artifacts intact.
+    /// Entries that survived with their answers intact.
     pub retained: usize,
 }
 
-struct Slot {
-    value: Arc<dyn Any + Send + Sync>,
+/// Everything that shapes a decided answer on one network: the parsed
+/// query (which carries `k`), the weight specification, and whether the
+/// static reductions are off. Budgets are deliberately absent — they
+/// only ever turn an answer into `Aborted`, which is never cached.
+pub type CacheKey = (Query, Option<WeightSpec>, bool);
+
+struct Entry {
+    answer: Answer,
+    footprint: Footprint,
     last_used: u64,
-    /// Link-dependency footprint of the artifact; `None` for artifacts
-    /// inserted through the untracked [`ConstructionCache::get_or_build`]
-    /// path, which a delta must conservatively treat as stale.
-    footprint: Option<Footprint>,
-    /// Estimated resident heap bytes of the artifact (0 if unknown).
-    bytes: usize,
 }
 
 struct Inner {
-    map: HashMap<(String, TypeId), Slot>,
+    map: HashMap<CacheKey, Entry>,
     tick: u64,
+    /// Running sum of [`entry_bytes`] over `map`.
+    bytes: usize,
 }
 
-/// A bounded, thread-safe LRU cache of compiled per-query artifacts.
-pub struct ConstructionCache {
+impl Inner {
+    fn remove(&mut self, key: &CacheKey) {
+        if let Some(entry) = self.map.remove(key) {
+            self.bytes -= entry_bytes(key, &entry);
+        }
+    }
+
+    fn remove_least_recently_used(&mut self) {
+        let oldest = self
+            .map
+            .iter()
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone());
+        if let Some(key) = oldest {
+            self.remove(&key);
+        }
+    }
+}
+
+/// Nodes (operators and atoms) in a query regex.
+fn regex_nodes<A>(r: &Regex<A>) -> usize {
+    1 + match r {
+        Regex::Epsilon | Regex::Atom(_) => 0,
+        Regex::Concat(rs) | Regex::Alt(rs) => rs.iter().map(regex_nodes).sum(),
+        Regex::Star(r) | Regex::Plus(r) | Regex::Opt(r) => regex_nodes(r),
+    }
+}
+
+/// Estimated resident bytes of one entry: map slot, query AST (nodes at
+/// their inline size; the few name bytes behind an atom are not
+/// followed), weight terms, footprint words and witness. Computed from
+/// lengths, not capacities, so the figure repeats across processes.
+fn entry_bytes((query, weights, _): &CacheKey, entry: &Entry) -> usize {
+    let mut bytes = size_of::<CacheKey>() + size_of::<Entry>();
+    bytes += (regex_nodes(&query.initial) + regex_nodes(&query.final_))
+        * size_of::<Regex<LabelAtom>>()
+        + regex_nodes(&query.path) * size_of::<Regex<LinkAtom>>();
+    for expr in weights.iter().flat_map(|spec| &spec.exprs) {
+        bytes += size_of_val(expr) + size_of_val(expr.terms.as_slice());
+    }
+    bytes += size_of_val(entry.footprint.bits.as_slice());
+    if let Outcome::Satisfied(w) = &entry.answer.outcome {
+        bytes += size_of_val(&**w) + w.failed_links.len() * size_of::<LinkId>();
+        bytes += w.weight.as_ref().map_or(0, |v| size_of_val(v.as_slice()));
+        for step in &w.trace.steps {
+            bytes += size_of_val(step) + size_of_val(step.header.0.as_slice());
+        }
+    }
+    bytes
+}
+
+/// A bounded, thread-safe LRU memo of decided answers.
+pub struct AnswerCache {
     capacity: usize,
     inner: Mutex<Inner>,
 }
 
-impl ConstructionCache {
-    /// An empty cache holding at most `capacity` artifacts (min 1).
+impl AnswerCache {
+    /// An empty cache holding at most `capacity` answers (min 1).
     pub fn new(capacity: usize) -> Self {
-        ConstructionCache {
+        AnswerCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 tick: 0,
+                bytes: 0,
             }),
         }
     }
@@ -150,17 +210,18 @@ impl ConstructionCache {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         // A worker that panicked while holding the lock cannot have left
         // the map structurally broken (every mutation under the lock is
-        // a complete HashMap operation), so recover from poison instead
-        // of propagating it into sibling queries.
+        // a complete HashMap operation followed by a counter update), so
+        // recover from poison instead of propagating it into sibling
+        // queries.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of artifacts currently cached.
+    /// Number of answers currently cached.
     pub fn len(&self) -> usize {
         self.lock().map.len()
     }
 
-    /// Whether the cache holds no artifacts.
+    /// Whether the cache holds no answers.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -170,239 +231,195 @@ impl ConstructionCache {
         self.capacity
     }
 
-    /// Look up `fingerprint` for artifact type `A`; on a miss, run
-    /// `build` — outside the lock, so concurrent misses on different
-    /// keys compile in parallel — and insert the result, evicting the
-    /// least-recently-used artifacts past capacity. Returns the artifact
-    /// and whether the lookup was a hit.
-    ///
-    /// Artifacts inserted this way carry no dependency footprint, so a
-    /// delta invalidation drops them unconditionally; prefer
-    /// [`ConstructionCache::get_or_build_tracked`] for artifacts that
-    /// should survive unrelated deltas.
-    pub fn get_or_build<A, F>(&self, fingerprint: &str, build: F) -> (Arc<A>, bool)
-    where
-        A: Send + Sync + 'static,
-        F: FnOnce() -> A,
-    {
-        self.get_or_build_tracked(fingerprint, || (build(), None, 0))
-    }
-
-    /// Like [`ConstructionCache::get_or_build`], but `build` also
-    /// returns the artifact's link [`Footprint`] and estimated resident
-    /// bytes, which [`ConstructionCache::invalidate_intersecting`] and
-    /// [`ConstructionCache::bytes_resident`] use.
-    pub fn get_or_build_tracked<A, F>(&self, fingerprint: &str, build: F) -> (Arc<A>, bool)
-    where
-        A: Send + Sync + 'static,
-        F: FnOnce() -> (A, Option<Footprint>, usize),
-    {
-        match self
-            .try_get_or_build_tracked(fingerprint, || Ok::<_, std::convert::Infallible>(build()))
-        {
-            Ok(out) => out,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Like [`ConstructionCache::get_or_build_tracked`], but `build` may
-    /// fail (e.g. a budgeted construction hitting its deadline): on
-    /// `Err` nothing is inserted and the error is returned — the cache
-    /// never holds a partial artifact, and a later retry of the same
-    /// fingerprint rebuilds from scratch.
-    pub fn try_get_or_build_tracked<A, F, E>(
-        &self,
-        fingerprint: &str,
-        build: F,
-    ) -> Result<(Arc<A>, bool), E>
-    where
-        A: Send + Sync + 'static,
-        F: FnOnce() -> Result<(A, Option<Footprint>, usize), E>,
-    {
-        let key = (fingerprint.to_string(), TypeId::of::<A>());
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(slot) = inner.map.get_mut(&key) {
-                slot.last_used = tick;
-                if let Ok(v) = slot.value.clone().downcast::<A>() {
-                    return Ok((v, true));
-                }
-                // TypeId is part of the key, so a failed downcast is
-                // unreachable; fall through to a rebuild defensively.
-            }
-        }
-        let (value, footprint, bytes) = build()?;
-        let value = Arc::new(value);
+    /// The answer stored under `key`, if any (marking it most recently
+    /// used).
+    pub fn get(&self, key: &CacheKey) -> Option<Answer> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        // Two threads racing on the same key both build; the first
-        // insert wins, so later lookups all see one artifact. Both
-        // builds return identical content (construction is a pure
-        // function of the fingerprinted inputs).
-        inner
-            .map
-            .entry(key)
-            .or_insert_with(|| Slot {
-                value: value.clone(),
-                last_used: 0,
-                footprint,
-                bytes,
-            })
-            .last_used = tick;
-        while inner.map.len() > self.capacity {
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone());
-            match oldest {
-                Some(k) => {
-                    inner.map.remove(&k);
-                }
-                None => break,
-            }
+        let entry = inner.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(entry.answer.clone())
+    }
+
+    /// Store a decided `answer` with the `footprint` of links its
+    /// computation read, evicting least-recently-used entries past
+    /// capacity. `Aborted` and `Error` outcomes depend on the budget or
+    /// on a fault rather than on the key, and are dropped instead. Two
+    /// threads racing on one key both compute; the first insert wins
+    /// (both computed the same answer — the engine is deterministic).
+    pub fn insert(&self, key: CacheKey, answer: Answer, footprint: Footprint) {
+        if matches!(answer.outcome, Outcome::Aborted(_) | Outcome::Error(_)) {
+            return;
         }
-        Ok((value, false))
-    }
-
-    /// Drop exactly the artifacts whose footprint intersects `touched`
-    /// (a dataplane delta's modified links). Artifacts without a
-    /// recorded footprint are conservatively dropped too. Everything
-    /// else stays warm. Returns how many entries went and how many
-    /// stayed.
-    pub fn invalidate_intersecting(&self, touched: &Footprint) -> InvalidationReport {
-        let mut report = InvalidationReport::default();
         let mut inner = self.lock();
-        inner.map.retain(|_, slot| {
-            let stale = match &slot.footprint {
-                Some(fp) => fp.intersects(touched),
-                None => true,
-            };
-            if stale {
-                report.invalidated += 1;
-            } else {
-                report.retained += 1;
-            }
-            !stale
-        });
-        report
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            entry.last_used = tick;
+            return;
+        }
+        let entry = Entry {
+            answer,
+            footprint,
+            last_used: tick,
+        };
+        inner.bytes += entry_bytes(&key, &entry);
+        inner.map.insert(key, entry);
+        while inner.map.len() > self.capacity {
+            inner.remove_least_recently_used();
+        }
     }
 
-    /// Drop every cached artifact (e.g. when a whole new dataplane is
+    /// Drop exactly the answers whose footprint intersects `touched` (a
+    /// dataplane delta's modified links). Everything else stays warm.
+    /// Returns how many entries went and how many stayed.
+    pub fn invalidate_intersecting(&self, touched: &Footprint) -> InvalidationReport {
+        let mut inner = self.lock();
+        let stale: Vec<CacheKey> = inner
+            .map
+            .iter()
+            .filter(|(_, e)| e.footprint.intersects(touched))
+            .map(|(k, _)| k.clone())
+            .collect();
+        for key in &stale {
+            inner.remove(key);
+        }
+        InvalidationReport {
+            invalidated: stale.len(),
+            retained: inner.map.len(),
+        }
+    }
+
+    /// Drop every cached answer (e.g. when a whole new dataplane is
     /// loaded). Returns how many entries were dropped.
     pub fn clear(&self) -> usize {
         let mut inner = self.lock();
         let n = inner.map.len();
         inner.map.clear();
+        inner.bytes = 0;
         n
     }
 
-    /// Bookkeeping + artifact bytes of one slot (shared by
-    /// [`ConstructionCache::bytes_resident`] and the shedding loop).
-    fn slot_bytes(key: &(String, TypeId), slot: &Slot) -> usize {
-        let mut bytes = key.0.capacity() + std::mem::size_of::<Slot>() + slot.bytes;
-        if let Some(fp) = &slot.footprint {
-            bytes += fp.approx_bytes();
-        }
-        bytes
-    }
-
-    /// Estimated resident heap bytes of all cached artifacts plus the
-    /// cache's own bookkeeping (keys, footprints). Artifacts inserted
-    /// without a byte estimate contribute only their bookkeeping.
+    /// Estimated resident bytes of all cached entries plus the cache's
+    /// own header. O(1): the total is maintained on insert and removal.
     pub fn bytes_resident(&self) -> usize {
-        let inner = self.lock();
-        std::mem::size_of::<Self>()
-            + inner
-                .map
-                .iter()
-                .map(|(k, s)| Self::slot_bytes(k, s))
-                .sum::<usize>()
+        size_of::<Self>() + self.lock().bytes
     }
 
-    /// Shed least-recently-used artifacts until the cache's resident
-    /// bytes fit inside `budget` (graceful degradation under memory
-    /// pressure, oldest-first so the hottest artifacts die last).
-    /// Returns how many entries were evicted; an already-fitting cache
-    /// sheds nothing. A budget of 0 empties the cache.
+    /// Shed least-recently-used answers until the cache's resident bytes
+    /// fit inside `budget` (graceful degradation under memory pressure,
+    /// oldest-first so the hottest answers die last). Returns how many
+    /// entries were evicted; an already-fitting cache sheds nothing. A
+    /// budget of 0 empties the cache.
     pub fn shed_to_bytes(&self, budget: usize) -> usize {
         let mut inner = self.lock();
-        let mut total = std::mem::size_of::<Self>()
-            + inner
-                .map
-                .iter()
-                .map(|(k, s)| Self::slot_bytes(k, s))
-                .sum::<usize>();
-        let mut evicted = 0;
-        while total > budget && !inner.map.is_empty() {
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(key) = oldest else { break };
-            if let Some(slot) = inner.map.remove(&key) {
-                total = total.saturating_sub(Self::slot_bytes(&key, &slot));
-                evicted += 1;
-            }
+        let before = inner.map.len();
+        while size_of::<Self>() + inner.bytes > budget && !inner.map.is_empty() {
+            inner.remove_least_recently_used();
         }
-        evicted
+        before - inner.map.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineStats, Witness};
+    use netmodel::{Header, LabelId, Trace, TraceStep};
+    use pdaal::budget::AbortReason;
+    use query::parse_query;
+
+    fn key(name: &str) -> CacheKey {
+        let q = parse_query(&format!("<ip> [.#{name}] .* <ip> 0")).unwrap();
+        (q, None, false)
+    }
+
+    /// An `Unsatisfied` answer tagged through `rules_over` so tests can
+    /// tell which insert a lookup returns.
+    fn answer(tag: usize) -> Answer {
+        let mut stats = EngineStats::new();
+        stats.rules_over = tag;
+        Answer::new(Outcome::Unsatisfied, stats)
+    }
+
+    fn put(cache: &AnswerCache, name: &str, tag: usize) {
+        cache.insert(key(name), answer(tag), Footprint::new());
+    }
+
+    fn tag_of(cache: &AnswerCache, name: &str) -> Option<usize> {
+        cache.get(&key(name)).map(|a| a.stats.rules_over)
+    }
 
     #[test]
     fn hit_after_miss() {
-        let cache = ConstructionCache::new(4);
-        let (v, hit) = cache.get_or_build("a", || 41u64);
-        assert!(!hit);
-        assert_eq!(*v, 41);
-        let (v, hit) = cache.get_or_build("a", || 99u64);
-        assert!(hit, "second lookup must not rebuild");
-        assert_eq!(*v, 41);
+        let cache = AnswerCache::new(4);
+        assert_eq!(tag_of(&cache, "a"), None);
+        put(&cache, "a", 41);
+        assert_eq!(tag_of(&cache, "a"), Some(41));
+        // A racing second insert of the same key loses.
+        put(&cache, "a", 99);
+        assert_eq!(tag_of(&cache, "a"), Some(41), "first insert wins");
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn distinct_types_do_not_collide() {
-        let cache = ConstructionCache::new(4);
-        cache.get_or_build("a", || 1u64);
-        let (v, hit) = cache.get_or_build("a", || "one".to_string());
-        assert!(!hit, "same key, different artifact type");
-        assert_eq!(*v, "one");
-        assert_eq!(cache.len(), 2);
+    fn aborted_and_error_answers_are_never_stored() {
+        let cache = AnswerCache::new(4);
+        let aborted = Answer::aborted(AbortReason::DeadlineExceeded, EngineStats::new());
+        cache.insert(key("a"), aborted, Footprint::new());
+        cache.insert(key("b"), Answer::error("boom"), Footprint::new());
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes_resident(), AnswerCache::new(4).bytes_resident());
+    }
+
+    #[test]
+    fn keys_compare_every_component_by_value() {
+        let cache = AnswerCache::new(8);
+        let (q, _, _) = key("a");
+        let spec = WeightSpec::single(crate::AtomicQuantity::Hops);
+        let mut q1 = q.clone();
+        q1.max_failures = 1;
+        let variants = [
+            (q.clone(), None, false),
+            (q1, None, false),
+            (q.clone(), Some(spec), false),
+            (q.clone(), None, true),
+        ];
+        for (tag, k) in variants.iter().enumerate() {
+            cache.insert(k.clone(), answer(tag), Footprint::new());
+        }
+        assert_eq!(cache.len(), variants.len());
+        for (tag, k) in variants.iter().enumerate() {
+            assert_eq!(cache.get(k).map(|a| a.stats.rules_over), Some(tag));
+        }
+        // An independently parsed equal query is the same key.
+        assert_eq!(tag_of(&cache, "a"), Some(0));
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let cache = ConstructionCache::new(2);
-        cache.get_or_build("a", || 1u64);
-        cache.get_or_build("b", || 2u64);
+        let cache = AnswerCache::new(2);
+        put(&cache, "a", 1);
+        put(&cache, "b", 2);
         // Touch "a" so "b" becomes the LRU entry.
-        let (_, hit) = cache.get_or_build("a", || 0u64);
-        assert!(hit);
-        cache.get_or_build("c", || 3u64);
+        assert!(tag_of(&cache, "a").is_some());
+        put(&cache, "c", 3);
         assert_eq!(cache.len(), 2);
-        let (_, hit_a) = cache.get_or_build("a", || 0u64);
-        assert!(hit_a, "recently used entry survives eviction");
-        let (_, hit_b) = cache.get_or_build("b", || 0u64);
-        assert!(!hit_b, "LRU entry was evicted");
+        assert!(
+            tag_of(&cache, "a").is_some(),
+            "recently used entry survives eviction"
+        );
+        assert!(tag_of(&cache, "b").is_none(), "LRU entry was evicted");
     }
 
     #[test]
     fn capacity_zero_is_clamped_to_one() {
-        let cache = ConstructionCache::new(0);
+        let cache = AnswerCache::new(0);
         assert_eq!(cache.capacity(), 1);
-        cache.get_or_build("a", || 1u64);
-        let (_, hit) = cache.get_or_build("a", || 1u64);
-        assert!(hit);
-        cache.get_or_build("b", || 2u64);
+        put(&cache, "a", 1);
+        assert!(tag_of(&cache, "a").is_some());
+        put(&cache, "b", 2);
         assert_eq!(cache.len(), 1);
     }
 
@@ -426,94 +443,137 @@ mod tests {
         let disjoint = Footprint::from_links([LinkId(64)]);
         assert!(!fp.intersects(&disjoint));
         assert!(!Footprint::new().intersects(&fp));
+
+        // Union grows the shorter side and keeps both members.
+        let mut small = Footprint::from_links([LinkId(1)]);
+        small.union_with(&fp);
+        let links: Vec<LinkId> = small.links().collect();
+        assert_eq!(links, vec![LinkId(1), LinkId(3), LinkId(70)]);
     }
 
     #[test]
     fn invalidation_drops_only_intersecting_footprints() {
-        let cache = ConstructionCache::new(8);
-        cache.get_or_build_tracked("a", || {
-            (
-                1u64,
-                Some(Footprint::from_links([LinkId(0), LinkId(1)])),
-                64,
-            )
-        });
-        cache.get_or_build_tracked("b", || (2u64, Some(Footprint::from_links([LinkId(2)])), 64));
-        cache.get_or_build("untracked", || 3u64);
+        let cache = AnswerCache::new(8);
+        cache.insert(
+            key("a"),
+            answer(1),
+            Footprint::from_links([LinkId(0), LinkId(1)]),
+        );
+        cache.insert(key("b"), answer(2), Footprint::from_links([LinkId(2)]));
+        // Quick-decided answers read no link and survive every delta.
+        cache.insert(key("c"), answer(3), Footprint::new());
         assert_eq!(cache.len(), 3);
 
         let report = cache.invalidate_intersecting(&Footprint::from_links([LinkId(1)]));
-        assert_eq!(report.invalidated, 2, "entry 'a' plus the untracked one");
-        assert_eq!(report.retained, 1);
-        let (_, hit_b) = cache.get_or_build_tracked("b", || (0u64, None, 0));
-        assert!(hit_b, "disjoint entry must stay warm");
-        let (_, hit_a) = cache.get_or_build_tracked("a", || (0u64, None, 0));
-        assert!(!hit_a, "intersecting entry must be gone");
+        assert_eq!(report.invalidated, 1);
+        assert_eq!(report.retained, 2);
+        assert!(tag_of(&cache, "b").is_some(), "disjoint entry stays warm");
+        assert!(tag_of(&cache, "c").is_some(), "empty footprint stays warm");
+        assert!(
+            tag_of(&cache, "a").is_none(),
+            "intersecting entry must be gone"
+        );
     }
 
     #[test]
     fn clear_empties_the_cache() {
-        let cache = ConstructionCache::new(8);
-        cache.get_or_build("a", || 1u64);
-        cache.get_or_build("b", || 2u64);
+        let cache = AnswerCache::new(8);
+        let empty = cache.bytes_resident();
+        put(&cache, "a", 1);
+        put(&cache, "b", 2);
         assert_eq!(cache.clear(), 2);
         assert!(cache.is_empty());
+        assert_eq!(cache.bytes_resident(), empty);
     }
 
     #[test]
-    fn bytes_resident_tracks_artifact_estimates() {
-        let cache = ConstructionCache::new(8);
+    fn bytes_resident_tracks_entries() {
+        let cache = AnswerCache::new(8);
         let empty = cache.bytes_resident();
-        cache.get_or_build_tracked("a", || {
-            (1u64, Some(Footprint::from_links([LinkId(9)])), 1024)
-        });
-        let one = cache.bytes_resident();
-        assert!(one >= empty + 1024, "artifact bytes are counted: {one}");
+        put(&cache, "a", 1);
+        let plain = cache.bytes_resident() - empty;
+        assert!(plain >= size_of::<CacheKey>() + size_of::<Entry>());
+
+        // A witness and a footprint are priced on top of the bare entry.
+        let step = TraceStep {
+            link: LinkId(9),
+            header: Header(vec![LabelId(0); 3]),
+        };
+        let witness = Witness {
+            trace: Trace::new(vec![step; 4]),
+            failed_links: [LinkId(9)].into_iter().collect(),
+            weight: Some(vec![1, 2]),
+        };
+        cache.insert(
+            key("b"),
+            Answer::new(Outcome::Satisfied(Box::new(witness)), EngineStats::new()),
+            Footprint::from_links([LinkId(9)]),
+        );
+        let both = cache.bytes_resident() - empty;
+        assert!(both > 2 * plain, "witness bytes are counted: {both}");
+
         cache.invalidate_intersecting(&Footprint::from_links([LinkId(9)]));
-        assert!(cache.bytes_resident() < one);
+        assert_eq!(cache.bytes_resident() - empty, plain);
     }
 
     #[test]
     fn shed_to_bytes_evicts_lru_first_until_under_budget() {
-        let cache = ConstructionCache::new(8);
-        cache.get_or_build_tracked("old", || (1u64, None, 10_000));
-        cache.get_or_build_tracked("mid", || (2u64, None, 10_000));
-        cache.get_or_build_tracked("hot", || (3u64, None, 10_000));
+        let cache = AnswerCache::new(8);
+        put(&cache, "old", 1);
+        put(&cache, "mid", 2);
+        put(&cache, "hot", 3);
         // Touch "old" so "mid" becomes the LRU entry.
-        let (_, hit) = cache.get_or_build_tracked("old", || (0u64, None, 0));
-        assert!(hit);
+        assert!(tag_of(&cache, "old").is_some());
         let before = cache.bytes_resident();
-        assert!(before > 30_000);
 
-        // A budget that fits two artifacts sheds exactly the LRU one.
-        let evicted = cache.shed_to_bytes(before - 10_000);
-        assert_eq!(evicted, 1);
-        let (_, hit_mid) = cache.get_or_build_tracked("mid", || (0u64, None, 0));
-        assert!(!hit_mid, "LRU entry must be shed first");
-        let (_, hit_hot) = cache.get_or_build_tracked("hot", || (0u64, None, 0));
-        assert!(hit_hot, "recently used entries survive shedding");
+        // A budget one byte short sheds exactly the LRU entry.
+        assert_eq!(cache.shed_to_bytes(before), 0);
+        assert_eq!(cache.shed_to_bytes(before - 1), 1);
+        assert!(tag_of(&cache, "mid").is_none(), "LRU entry is shed first");
+        assert!(
+            tag_of(&cache, "hot").is_some(),
+            "recently used entries survive shedding"
+        );
+        assert!(cache.bytes_resident() < before);
 
         // Budget 0 empties the cache entirely; shedding again is a no-op.
-        assert!(cache.shed_to_bytes(0) >= 2);
+        assert_eq!(cache.shed_to_bytes(0), 2);
         assert!(cache.is_empty());
         assert_eq!(cache.shed_to_bytes(0), 0);
     }
 
     #[test]
+    fn a_poisoned_lock_keeps_serving() {
+        let cache = AnswerCache::new(4);
+        put(&cache, "a", 1);
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = cache.inner.lock().unwrap();
+            panic!("poison the cache mutex");
+        }));
+        std::panic::set_hook(prev_hook);
+        assert!(cache.inner.is_poisoned());
+        assert_eq!(tag_of(&cache, "a"), Some(1));
+        put(&cache, "b", 2);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
     fn concurrent_access_is_consistent() {
-        let cache = std::sync::Arc::new(ConstructionCache::new(8));
+        let cache = AnswerCache::new(8);
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let cache = std::sync::Arc::clone(&cache);
+                let cache = &cache;
                 scope.spawn(move || {
-                    for i in 0..100u64 {
-                        let key = format!("k{}", i % 8);
-                        let (v, _) = cache.get_or_build(&key, || i % 8);
-                        assert_eq!(*v, i % 8, "thread {t}");
+                    for i in 0..100usize {
+                        let name = format!("k{}", i % 8);
+                        put(cache, &name, i % 8);
+                        assert_eq!(tag_of(cache, &name), Some(i % 8), "thread {t}");
                     }
                 });
             }
         });
-        assert!(cache.len() <= 8);
+        assert_eq!(cache.len(), 8);
     }
 }

@@ -100,23 +100,14 @@ impl<W: Weight> Construction<W> {
     /// [`build_with`]'s state exploration read. A dataplane delta that
     /// touches none of these links cannot change this construction
     /// (label table and topology are fixed for a construction's
-    /// lifetime), which is what makes footprint-based cache invalidation
-    /// sound; see [`crate::cache::Footprint`].
+    /// lifetime), hence not the answer computed from it — which is what
+    /// makes footprint-based cache invalidation sound; see
+    /// [`crate::cache::Footprint`].
     pub fn footprint(&self) -> crate::cache::Footprint {
         crate::cache::Footprint::from_links(self.meta.iter().filter_map(|m| match m {
             StateMeta::Real { link, .. } => Some(*link),
             StateMeta::Chain => None,
         }))
-    }
-
-    /// Estimated resident heap bytes of the construction (PDS, initial
-    /// automaton, metadata).
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.pds.approx_bytes()
-            + self.initial.approx_bytes()
-            + self.finals.capacity() * size_of::<StateId>()
-            + self.meta.capacity() * size_of::<StateMeta>()
     }
 }
 

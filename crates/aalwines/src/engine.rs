@@ -2,18 +2,18 @@
 //! (paper Section 4.2), with deadline-aware, cancellable runs and
 //! machine-readable telemetry.
 
-use crate::cache::{ConstructionCache, DEFAULT_CACHE_SIZE};
+use crate::cache::{AnswerCache, Footprint, DEFAULT_CACHE_SIZE};
 use crate::construction::{self, ApproxMode, Construction, NetworkPrecomp};
 use crate::lift::{lift_run, trace_pairs};
 use crate::quantities::{StepMeasure, WeightSpec};
 use crate::telemetry::{self, JsonObject};
 use netmodel::{feasible_failures, LinkId, Network, Trace};
-use pdaal::budget::{AbortReason, Budget, CancelToken};
-use pdaal::poststar::post_star_budgeted;
+use pdaal::budget::{AbortReason, Budget, CancelToken, SaturationAbort};
+use pdaal::poststar::{post_star_budgeted, SaturationStats};
 use pdaal::reduction::reduce;
 use pdaal::shortest::shortest_accepted_budgeted;
 use pdaal::witness::reconstruct_run;
-use pdaal::{MinTotal, MinVector, Pds, StateId, Unweighted, Weight};
+use pdaal::{MinTotal, MinVector, PAutomaton, Pds, StateId, Unweighted, Weight};
 use query::{compile, CompiledQuery, Query};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -278,15 +278,16 @@ pub struct EngineStats {
     pub quick_decided: Option<QuickReason>,
     /// Why the verification aborted, if it did.
     pub aborted: Option<AbortReason>,
-    /// Construction-cache hits of this verification (0–2: one possible
-    /// per approximation phase; always 0 with the cache disabled).
+    /// 1 when this answer was served from the answer cache (its
+    /// structural counters are then those of the computation that
+    /// filled the entry, its phase timings zero), else 0.
     pub cache_hits: usize,
-    /// Construction-cache misses of this verification (phases that had
-    /// to compile; with the cache disabled every phase counts here).
+    /// 1 when the dual engine computed this answer (with or without a
+    /// cache attached), 0 on a cache hit.
     pub cache_misses: usize,
     /// Estimated resident heap bytes of the answering engine's warm
-    /// state — the shared network precomputation plus every artifact in
-    /// the construction cache — measured when this answer was produced.
+    /// state — the shared network precomputation plus every entry of
+    /// the answer cache — measured when this answer was produced.
     /// 0 for engines without warm state (e.g. the Moped baseline).
     pub bytes_resident: usize,
     /// Milliseconds spent producing the lint report behind this stats
@@ -296,7 +297,7 @@ pub struct EngineStats {
     /// Cumulative per-key lint artifacts the owning session reused
     /// across deltas instead of recomputing. 0 outside lint outcomes.
     pub lint_incremental_hits: usize,
-    /// Time spent building PDSs (cache hits contribute nothing).
+    /// Time spent building PDSs.
     pub t_construct: Duration,
     /// Time spent in the static reductions.
     pub t_reduce: Duration,
@@ -331,6 +332,53 @@ impl EngineStats {
     /// Whether the under-approximation had to run.
     pub fn used_under(&self) -> bool {
         self.under_runs > 0
+    }
+
+    /// What a later cache hit on this answer reports: the structural
+    /// counters of the computation, one hit, and no time spent.
+    fn as_cache_hit(&self) -> EngineStats {
+        EngineStats {
+            rules_over: self.rules_over,
+            rules_removed: self.rules_removed,
+            rules_under: self.rules_under,
+            sat_transitions: self.sat_transitions,
+            worklist_pops: self.worklist_pops,
+            mid_states: self.mid_states,
+            worklist_requeues_avoided: self.worklist_requeues_avoided,
+            peak_worklist_bytes: self.peak_worklist_bytes,
+            under_runs: self.under_runs,
+            quick_decided: self.quick_decided,
+            cache_hits: 1,
+            ..EngineStats::new()
+        }
+    }
+
+    fn add_phase_times(&mut self, mode: ApproxMode, t: &PhaseTimes) {
+        self.t_construct += t.construct;
+        self.t_reduce += t.reduce;
+        self.t_solve += t.solve;
+        match mode {
+            ApproxMode::Over => {
+                self.t_construct_over += t.construct;
+                self.t_reduce_over += t.reduce;
+                self.t_solve_over += t.solve;
+            }
+            ApproxMode::Under => {
+                self.t_construct_under += t.construct;
+                self.t_reduce_under += t.reduce;
+                self.t_solve_under += t.solve;
+            }
+        }
+    }
+
+    fn add_saturation(&mut self, mode: ApproxMode, s: &SaturationStats) {
+        self.worklist_pops += s.worklist_pops;
+        self.mid_states += s.mid_states;
+        self.worklist_requeues_avoided += s.worklist_requeues_avoided;
+        self.peak_worklist_bytes = self.peak_worklist_bytes.max(s.peak_worklist_bytes);
+        if mode == ApproxMode::Over {
+            self.sat_transitions = s.transitions;
+        }
     }
 
     /// Serialize as one JSON object (hand-rolled, serde-free).
@@ -446,6 +494,14 @@ pub trait Engine: Sync {
     }
 }
 
+/// Wall time of the three timed steps of one approximation phase.
+#[derive(Default)]
+struct PhaseTimes {
+    construct: Duration,
+    reduce: Duration,
+    solve: Duration,
+}
+
 /// Result of a single approximation phase.
 enum Phase {
     /// The approximation accepts no configuration: conclusive "no" when
@@ -460,272 +516,181 @@ enum Phase {
     Aborted(AbortReason),
 }
 
-/// One compiled, reduced per-(query, mode, weight-domain) artifact:
-/// everything that depends only on the inputs baked into the cache
-/// fingerprint, ready for saturation. Cached by [`Verifier`] so repeated
-/// queries skip construction *and* reduction entirely.
-struct CompiledPhase<W: Weight> {
-    cons: Construction<W>,
-    /// The PDS saturation actually runs on (reduced unless the options
-    /// disabled reductions — the toggle is part of the fingerprint).
-    solve_pds: Pds<W>,
-    rules_removed: usize,
-    t_construct: Duration,
-    t_reduce: Duration,
+/// What an engine plugs into one approximation phase with weight domain
+/// `W`. The saturation step is the one place the backends differ: the
+/// dual engine runs the indexed, budgeted `post*`; the Moped baseline
+/// round-trips the PDS through text, expands filters and runs the
+/// classic algorithm.
+pub(crate) struct PhaseSpec<'a, W: Weight> {
+    /// Rule weight of one forwarding step.
+    pub weigh: &'a dyn Fn(&StepMeasure) -> W,
+    /// The witness weight to report, if the domain carries one.
+    pub weight_vec: &'a dyn Fn(&W) -> Option<Vec<u64>>,
+    /// `(PDS to solve, initial automaton, budget)` → saturated automaton.
+    pub saturate: &'a Saturate<W>,
 }
 
-/// Compile one phase under a budget: the construction polls per
-/// worklist state, and the reduction — a handful of linear passes, much
-/// shorter than the construction feeding it — is guarded by one
-/// boundary poll, bounding the abort delay by a single reduction.
-fn compile_phase<W: Weight>(
-    pre: &NetworkPrecomp,
-    cq: &CompiledQuery,
-    mode: ApproxMode,
-    no_reduction: bool,
-    weigh: &dyn Fn(&StepMeasure) -> W,
-    budget: &Budget,
-) -> Result<CompiledPhase<W>, AbortReason> {
-    let t0 = Instant::now();
-    let cons: Construction<W> = construction::build_with_budget(pre, cq, mode, weigh, budget)?;
-    let t_construct = t0.elapsed();
-    budget.checker().tick(0)?;
-    let t0 = Instant::now();
-    let (solve_pds, rules_removed) = if no_reduction {
-        (cons.pds.clone(), 0)
-    } else {
-        reduce(&cons.pds, &cons.initial, &cons.finals)
-    };
-    let t_reduce = t0.elapsed();
-    Ok(CompiledPhase {
-        cons,
-        solve_pds,
-        rules_removed,
-        t_construct,
-        t_reduce,
-    })
+type Saturate<W> = dyn Fn(
+    &Pds<W>,
+    &PAutomaton<W>,
+    &Budget,
+) -> Result<(PAutomaton<W>, SaturationStats), SaturationAbort>;
+
+/// The dual over/under flow of Section 4.2 over one compiled query —
+/// shared by every backend.
+pub(crate) struct DualFlow<'a> {
+    pub net: &'a Network,
+    pub pre: &'a NetworkPrecomp,
+    pub cq: &'a CompiledQuery,
+    pub no_reduction: bool,
+    pub budget: &'a Budget,
 }
 
-/// Render a [`pdaal::SymFilter`] with its symbol set *sorted*: the sets
-/// are `HashSet`s whose iteration (and so `Debug`) order differs between
-/// instances, and the query NFAs are recompiled per verification, so an
-/// unsorted rendering would never produce two equal fingerprints.
-fn fingerprint_filter(f: &pdaal::SymFilter, out: &mut String) {
-    use std::fmt::Write as _;
-    let (tag, set) = match f {
-        pdaal::SymFilter::Any => {
-            out.push('*');
-            return;
+impl DualFlow<'_> {
+    /// Over-approximation, budget re-check, under-approximation. Every
+    /// link either phase's construction visited is added to `footprint`.
+    pub(crate) fn run<WO: Weight, WU: Weight>(
+        &self,
+        over: &PhaseSpec<WO>,
+        under: &PhaseSpec<WU>,
+        stats: &mut EngineStats,
+        footprint: &mut Footprint,
+    ) -> Outcome {
+        match self.phase(ApproxMode::Over, over, stats, footprint) {
+            Phase::Empty => return Outcome::Unsatisfied,
+            Phase::Witness(w) => return Outcome::Satisfied(w),
+            Phase::Aborted(reason) => return Outcome::Aborted(reason),
+            Phase::Infeasible => {}
         }
-        pdaal::SymFilter::In(set) => ('+', set),
-        pdaal::SymFilter::NotIn(set) => ('-', set),
-    };
-    let mut syms: Vec<u32> = set.iter().map(|s| s.0).collect();
-    syms.sort_unstable();
-    let _ = write!(out, "{tag}{syms:?}");
-}
 
-/// Canonical rendering of a [`pdaal::StackNfa`]: states, initial and
-/// final sets, and the edge list in insertion order with sorted filters.
-fn fingerprint_nfa(nfa: &pdaal::StackNfa, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "s{}i{:?}f[", nfa.num_states(), nfa.initial_states());
-    for s in 0..nfa.num_states() {
-        if nfa.is_final(s) {
-            let _ = write!(out, "{s},");
+        // Re-check the budget before paying the under-phase construction
+        // cost: the over phase may have spent the whole allowance.
+        if let Err(reason) = self.budget.checker().tick(0) {
+            return Outcome::Aborted(reason);
+        }
+
+        stats.under_runs += 1;
+        match self.phase(ApproxMode::Under, under, stats, footprint) {
+            Phase::Witness(w) => Outcome::Satisfied(w),
+            Phase::Aborted(reason) => Outcome::Aborted(reason),
+            _ => Outcome::Inconclusive,
         }
     }
-    out.push(']');
-    for e in nfa.edges() {
-        let _ = write!(out, "({}-", e.from);
-        fingerprint_filter(&e.filter, out);
-        let _ = write!(out, "-{})", e.to);
+
+    /// One approximation phase, straight through: build → reduce → drop
+    /// the unreduced PDS → saturate → shortest accepted path → lift and
+    /// check feasibility. Nothing built here outlives the call.
+    fn phase<W: Weight>(
+        &self,
+        mode: ApproxMode,
+        spec: &PhaseSpec<W>,
+        stats: &mut EngineStats,
+        footprint: &mut Footprint,
+    ) -> Phase {
+        let mut times = PhaseTimes::default();
+        let phase = self.phase_steps(mode, spec, stats, footprint, &mut times);
+        stats.add_phase_times(mode, &times);
+        phase
     }
-}
 
-/// A full fingerprint of everything query-specific that shapes a
-/// compiled artifact: the three compiled automata, the failure budget
-/// `k`, the weight specification, and the reduction toggle. Not a lossy
-/// hash — a complete canonical rendering — so distinct queries can never
-/// alias a cache slot. The stack NFAs are rendered with sorted filter
-/// sets (their `Debug` would leak `HashSet` iteration order and break
-/// key equality); the link NFA is bitset-based and renders canonically
-/// via `Debug`. The approximation mode and the weight domain's `TypeId`
-/// are appended by the cache lookup itself.
-pub fn query_fingerprint(cq: &CompiledQuery, opts: &VerifyOptions) -> String {
-    use std::fmt::Write as _;
-    let mut fp = String::new();
-    fp.push_str("i=");
-    fingerprint_nfa(&cq.initial, &mut fp);
-    let _ = write!(fp, ";p={:?};f=", cq.path);
-    fingerprint_nfa(&cq.final_, &mut fp);
-    let _ = write!(
-        fp,
-        ";k={};w={:?};nr={}",
-        cq.max_failures, opts.weights, opts.no_reduction
-    );
-    fp
-}
-
-/// Run one approximation phase with weight domain `W`: obtain the
-/// compiled artifact (through the construction cache when one is
-/// attached), then saturate and extract via [`solve_phase`].
-#[allow(clippy::too_many_arguments)]
-fn run_phase<W: Weight + Send + Sync + 'static>(
-    net: &Network,
-    pre: &NetworkPrecomp,
-    cache: Option<(&ConstructionCache, &str)>,
-    cq: &CompiledQuery,
-    mode: ApproxMode,
-    opts: &VerifyOptions,
-    budget: &Budget,
-    weigh: &dyn Fn(&StepMeasure) -> W,
-    weight_vec: &dyn Fn(&W) -> Option<Vec<u64>>,
-    stats: &mut EngineStats,
-) -> Phase {
-    // The compiled artifact records the links its construction visited
-    // (its dependency footprint) and an estimated size, so a later
-    // dataplane delta can evict exactly the affected entries and the
-    // cache can report `bytesResident`.
-    let compile = || compile_phase(pre, cq, mode, opts.no_reduction, weigh, budget);
-    let compile_tracked = || {
-        let phase = compile()?;
-        let footprint = phase.cons.footprint();
-        let bytes = phase.cons.approx_bytes()
-            + phase.solve_pds.approx_bytes()
-            + std::mem::size_of::<CompiledPhase<W>>();
-        Ok((phase, Some(footprint), bytes))
-    };
-    let built = match cache {
-        Some((cache, fingerprint)) => {
-            cache.try_get_or_build_tracked(&format!("{mode:?};{fingerprint}"), compile_tracked)
-        }
-        None => compile().map(|phase| (Arc::new(phase), false)),
-    };
-    let (phase, hit) = match built {
-        Ok(out) => out,
-        // A deadline or cancellation fired mid-compile; nothing was
-        // cached and no compile time is attributed.
-        Err(reason) => return Phase::Aborted(reason),
-    };
-    if hit {
-        stats.cache_hits += 1;
-    } else {
-        stats.cache_misses += 1;
-        // Compile time is attributed to the query that paid it; a hit
-        // adds nothing to the construct/reduce timings.
-        stats.t_construct += phase.t_construct;
-        stats.t_reduce += phase.t_reduce;
+    fn phase_steps<W: Weight>(
+        &self,
+        mode: ApproxMode,
+        spec: &PhaseSpec<W>,
+        stats: &mut EngineStats,
+        footprint: &mut Footprint,
+        times: &mut PhaseTimes,
+    ) -> Phase {
+        // The construction polls the budget per worklist state.
+        let t0 = Instant::now();
+        let built =
+            construction::build_with_budget(self.pre, self.cq, mode, spec.weigh, self.budget);
+        times.construct = t0.elapsed();
+        let cons = match built {
+            Ok(cons) => cons,
+            Err(reason) => return Phase::Aborted(reason),
+        };
+        footprint.union_with(&cons.footprint());
+        let Construction {
+            pds: unreduced,
+            initial,
+            finals,
+            meta,
+        } = cons;
         match mode {
-            ApproxMode::Over => {
-                stats.t_construct_over += phase.t_construct;
-                stats.t_reduce_over += phase.t_reduce;
-            }
-            ApproxMode::Under => {
-                stats.t_construct_under += phase.t_construct;
-                stats.t_reduce_under += phase.t_reduce;
-            }
+            ApproxMode::Over => stats.rules_over = unreduced.num_rules(),
+            ApproxMode::Under => stats.rules_under = unreduced.num_rules(),
         }
-    }
-    if mode == ApproxMode::Over {
-        stats.rules_over = phase.cons.pds.num_rules();
-        stats.rules_removed = phase.rules_removed;
-    } else {
-        stats.rules_under = phase.cons.pds.num_rules();
-    }
-    solve_phase(net, &phase, cq, mode, budget, weight_vec, stats)
-}
 
-/// Saturate a compiled artifact and extract a witness — the second half
-/// of [`run_phase`].
-fn solve_phase<W: Weight>(
-    net: &Network,
-    phase: &CompiledPhase<W>,
-    cq: &CompiledQuery,
-    mode: ApproxMode,
-    budget: &Budget,
-    weight_vec: &dyn Fn(&W) -> Option<Vec<u64>>,
-    stats: &mut EngineStats,
-) -> Phase {
-    // Poll at the phase boundary too: a construction-cache hit skips
-    // the budget-polled compile entirely, so this may be the first
-    // check since the budget was last consulted.
-    if let Err(reason) = budget.checker().tick(0) {
-        return Phase::Aborted(reason);
-    }
-
-    let add_solve = |stats: &mut EngineStats, d: Duration| {
-        stats.t_solve += d;
-        match mode {
-            ApproxMode::Over => stats.t_solve_over += d,
-            ApproxMode::Under => stats.t_solve_under += d,
-        }
-    };
-    let add_sat = |stats: &mut EngineStats, s: &pdaal::SaturationStats| {
-        stats.worklist_pops += s.worklist_pops;
-        stats.mid_states += s.mid_states;
-        stats.worklist_requeues_avoided += s.worklist_requeues_avoided;
-        stats.peak_worklist_bytes = stats.peak_worklist_bytes.max(s.peak_worklist_bytes);
-        if mode == ApproxMode::Over {
-            stats.sat_transitions = s.transitions;
-        }
-    };
-
-    let cons = &phase.cons;
-    let pds = &phase.solve_pds;
-    let t0 = Instant::now();
-    let saturated = post_star_budgeted(pds, &cons.initial, budget);
-    let (sat, sstats) = match saturated {
-        Ok(ok) => ok,
-        Err(abort) => {
-            add_sat(stats, &abort.stats);
-            add_solve(stats, t0.elapsed());
-            return Phase::Aborted(abort.reason);
-        }
-    };
-    add_sat(stats, &sstats);
-    let starts: Vec<(StateId, W)> = cons.finals.iter().map(|s| (*s, W::one())).collect();
-    let found = match shortest_accepted_budgeted(&sat, &starts, &cq.final_, budget) {
-        Ok(found) => found,
-        Err(reason) => {
-            add_solve(stats, t0.elapsed());
+        // The reduction — a handful of linear passes, much shorter than
+        // the construction feeding it — is guarded by one boundary poll,
+        // bounding the abort delay by a single reduction.
+        if let Err(reason) = self.budget.checker().tick(0) {
             return Phase::Aborted(reason);
         }
-    };
-    add_solve(stats, t0.elapsed());
+        let t0 = Instant::now();
+        let (pds, removed) = if self.no_reduction {
+            (unreduced, 0)
+        } else {
+            let reduced = reduce(&unreduced, &initial, &finals);
+            drop(unreduced);
+            reduced
+        };
+        times.reduce = t0.elapsed();
+        if mode == ApproxMode::Over {
+            stats.rules_removed = removed;
+        }
 
-    let Some(path) = found else {
-        return Phase::Empty;
-    };
-    let witness = reconstruct_run(pds, &sat, &path.transitions, &path.word)
-        .ok()
-        .and_then(|run| lift_run(net, pds, &cons.meta, &run).ok())
-        .and_then(|trace| {
-            feasible_failures(net, &trace_pairs(&trace)).map(|failed| (trace, failed))
-        })
-        .filter(|(_, failed)| failed.len() as u32 <= cq.max_failures);
-    match witness {
-        Some((trace, failed)) => Phase::Witness(Box::new(Witness {
-            trace,
-            failed_links: failed,
-            weight: weight_vec(&path.weight),
-        })),
-        None => Phase::Infeasible,
+        let t0 = Instant::now();
+        let saturated = (spec.saturate)(&pds, &initial, self.budget);
+        let (sat, sat_stats) = match saturated {
+            Ok(ok) => ok,
+            Err(abort) => {
+                stats.add_saturation(mode, &abort.stats);
+                times.solve = t0.elapsed();
+                return Phase::Aborted(abort.reason);
+            }
+        };
+        stats.add_saturation(mode, &sat_stats);
+        let starts: Vec<(StateId, W)> = finals.iter().map(|s| (*s, W::one())).collect();
+        let found = shortest_accepted_budgeted(&sat, &starts, &self.cq.final_, self.budget);
+        times.solve = t0.elapsed();
+        let path = match found {
+            Ok(Some(path)) => path,
+            Ok(None) => return Phase::Empty,
+            Err(reason) => return Phase::Aborted(reason),
+        };
+
+        let witness = reconstruct_run(&pds, &sat, &path.transitions, &path.word)
+            .ok()
+            .and_then(|run| lift_run(self.net, &pds, &meta, &run).ok())
+            .and_then(|trace| {
+                feasible_failures(self.net, &trace_pairs(&trace)).map(|failed| (trace, failed))
+            })
+            .filter(|(_, failed)| failed.len() as u32 <= self.cq.max_failures);
+        match witness {
+            Some((trace, failed)) => Phase::Witness(Box::new(Witness {
+                trace,
+                failed_links: failed,
+                weight: (spec.weight_vec)(&path.weight),
+            })),
+            None => Phase::Infeasible,
+        }
     }
 }
 
 /// The AalWiNes verification engine bound to a network.
 ///
-/// Construction is compile-once / verify-many: `new` precomputes the
-/// network-level [`NetworkPrecomp`] (shared between both approximation
-/// phases, all queries, and all batch worker threads) and attaches a
-/// bounded LRU [`ConstructionCache`] of per-query compiled artifacts, on
-/// by default with [`DEFAULT_CACHE_SIZE`] slots.
+/// `new` precomputes the network-level [`NetworkPrecomp`] (shared between
+/// both approximation phases, all queries, and all batch worker threads)
+/// and attaches a bounded LRU [`AnswerCache`] of decided answers, on by
+/// default with [`DEFAULT_CACHE_SIZE`] entries: [`Engine::verify`]
+/// answers a repeated query from it before compiling anything.
 pub struct Verifier<'a> {
     net: &'a Network,
     validation_issues: usize,
     precomp: Arc<NetworkPrecomp>,
-    cache: Option<Arc<ConstructionCache>>,
+    cache: Option<Arc<AnswerCache>>,
 }
 
 impl<'a> Verifier<'a> {
@@ -734,12 +699,7 @@ impl<'a> Verifier<'a> {
     /// network was, and precomputes the query-independent construction
     /// tables.
     pub fn new(net: &'a Network) -> Self {
-        Verifier {
-            net,
-            validation_issues: net.validate().len(),
-            precomp: Arc::new(NetworkPrecomp::new(net)),
-            cache: Some(Arc::new(ConstructionCache::new(DEFAULT_CACHE_SIZE))),
-        }
+        Self::with_shared_precomp(net, Arc::new(NetworkPrecomp::new(net)))
     }
 
     /// Like [`Verifier::new`], but reuse an already-built precomp of the
@@ -749,7 +709,7 @@ impl<'a> Verifier<'a> {
             net,
             validation_issues: net.validate().len(),
             precomp,
-            cache: Some(Arc::new(ConstructionCache::new(DEFAULT_CACHE_SIZE))),
+            cache: Some(Arc::new(AnswerCache::new(DEFAULT_CACHE_SIZE))),
         }
     }
 
@@ -761,7 +721,7 @@ impl<'a> Verifier<'a> {
     pub(crate) fn from_parts(
         net: &'a Network,
         precomp: Arc<NetworkPrecomp>,
-        cache: Option<Arc<ConstructionCache>>,
+        cache: Option<Arc<AnswerCache>>,
         validation_issues: usize,
     ) -> Self {
         Verifier {
@@ -772,31 +732,16 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Current resident heap estimate: query-independent precomputation
-    /// plus whatever the construction cache holds right now.
-    fn resident_bytes(&self) -> usize {
-        self.precomp.bytes_resident()
-            + self
-                .cache
-                .as_deref()
-                .map_or(0, |cache| cache.bytes_resident())
-    }
-
-    /// Disable the per-query artifact cache. The shared network precomp
-    /// is kept — it is always sound to reuse for one `Network` value.
+    /// Disable the answer cache. The shared network precomp is kept — it
+    /// is always sound to reuse for one `Network` value.
     pub fn without_cache(mut self) -> Self {
         self.cache = None;
         self
     }
 
-    /// Use a per-query artifact cache with `capacity` slots; `0`
-    /// disables the cache.
+    /// Cache up to `capacity` decided answers; `0` disables the cache.
     pub fn with_cache_size(mut self, capacity: usize) -> Self {
-        self.cache = if capacity == 0 {
-            None
-        } else {
-            Some(Arc::new(ConstructionCache::new(capacity)))
-        };
+        self.cache = (capacity > 0).then(|| Arc::new(AnswerCache::new(capacity)));
         self
     }
 
@@ -806,85 +751,77 @@ impl<'a> Verifier<'a> {
         Arc::clone(&self.precomp)
     }
 
-    /// Number of compiled artifacts currently cached (0 when the cache
-    /// is disabled).
-    pub fn cached_artifacts(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.len())
+    /// Fill in what an answer reports about *this* engine right now
+    /// rather than about the computation behind it — identical for a
+    /// computed answer and a cache hit.
+    fn stamp(&self, stats: &mut EngineStats, t_start: Instant) {
+        stats.validation_issues = self.validation_issues;
+        stats.t_precomp = self.precomp.build_time();
+        stats.bytes_resident = self.precomp.bytes_resident()
+            + self.cache.as_deref().map_or(0, AnswerCache::bytes_resident);
+        stats.t_total = t_start.elapsed();
     }
 
-    /// The dual over/under flow with concrete weight domains `WO`/`WU`:
-    /// over-approximation, budget re-check, under-approximation.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_dual<WO, WU>(
-        &self,
-        cq: &CompiledQuery,
-        opts: &VerifyOptions,
-        budget: &Budget,
-        cache: Option<(&ConstructionCache, &str)>,
-        weigh_over: &dyn Fn(&StepMeasure) -> WO,
-        wv_over: &dyn Fn(&WO) -> Option<Vec<u64>>,
-        weigh_under: &dyn Fn(&StepMeasure) -> WU,
-        wv_under: &dyn Fn(&WU) -> Option<Vec<u64>>,
-        stats: &mut EngineStats,
-    ) -> Outcome
-    where
-        WO: Weight + Send + Sync + 'static,
-        WU: Weight + Send + Sync + 'static,
-    {
-        // ---- over-approximation --------------------------------------
-        let over = run_phase::<WO>(
-            self.net,
-            &self.precomp,
-            cache,
-            cq,
-            ApproxMode::Over,
-            opts,
-            budget,
-            weigh_over,
-            wv_over,
-            stats,
-        );
-        match over {
-            Phase::Empty => return Outcome::Unsatisfied,
-            Phase::Witness(w) => return Outcome::Satisfied(w),
-            Phase::Aborted(reason) => return Outcome::Aborted(reason),
-            Phase::Infeasible => {}
+    /// Compute the answer from scratch, with the union of the links the
+    /// phases that ran read (empty when quick-decide answered).
+    fn compute(&self, cq: &CompiledQuery, opts: &VerifyOptions) -> (Answer, Footprint) {
+        let mut stats = EngineStats::new();
+        stats.cache_misses = 1;
+        let mut footprint = Footprint::new();
+
+        // ---- quick-decide pre-pass -----------------------------------
+        // An empty header or path language means no configuration can be
+        // accepted; the over-approximation would come back empty, so
+        // answer the conclusive "no" without constructing any PDS.
+        if let Some(reason) = quick_decide(cq, self.net) {
+            stats.quick_decided = Some(reason);
+            return (Answer::new(Outcome::Unsatisfied, stats), footprint);
         }
 
-        // Re-check the budget before paying the under-phase construction
-        // cost: the over phase may have spent the whole allowance, and
-        // its own checks fire only inside the saturation worklists — an
-        // expired deadline would otherwise still build the full under
-        // PDS first.
-        if let Err(reason) = budget.checker().tick(0) {
-            return Outcome::Aborted(reason);
-        }
-
-        // ---- under-approximation -------------------------------------
-        // The unweighted engine still guides the under-approximating
-        // search by failure count: among the traces the global counter
-        // admits, the failure-minimal one is the most likely to pass the
-        // concrete feasibility check (e.g. a 0-failure primary trace is
-        // feasible by construction). The weighted engine minimizes the
-        // user's specification instead, as the paper prescribes.
-        stats.under_runs += 1;
-        let under = run_phase::<WU>(
-            self.net,
-            &self.precomp,
-            cache,
+        let budget = opts.budget();
+        let flow = DualFlow {
+            net: self.net,
+            pre: &self.precomp,
             cq,
-            ApproxMode::Under,
-            opts,
-            budget,
-            weigh_under,
-            wv_under,
-            stats,
-        );
-        match under {
-            Phase::Witness(w) => Outcome::Satisfied(w),
-            Phase::Aborted(reason) => Outcome::Aborted(reason),
-            _ => Outcome::Inconclusive,
-        }
+            no_reduction: opts.no_reduction,
+            budget: &budget,
+        };
+        let outcome = match &opts.weights {
+            // The unweighted engine still guides the under-approximating
+            // search by failure count: among the traces the global
+            // counter admits, the failure-minimal one is the most likely
+            // to pass the concrete feasibility check (e.g. a 0-failure
+            // primary trace is feasible by construction).
+            None => flow.run(
+                &PhaseSpec {
+                    weigh: &|_| Unweighted,
+                    weight_vec: &|_| None,
+                    saturate: &post_star_budgeted,
+                },
+                &PhaseSpec {
+                    weigh: &|m| MinTotal(m.failures),
+                    weight_vec: &|_| None,
+                    saturate: &post_star_budgeted,
+                },
+                &mut stats,
+                &mut footprint,
+            ),
+            // The weighted engine minimizes the user's specification in
+            // both phases, as the paper prescribes.
+            Some(spec) => {
+                let weighted = PhaseSpec {
+                    weigh: &|m| spec.weigh(m),
+                    weight_vec: &|w: &MinVector| Some(w.0.clone()),
+                    saturate: &post_star_budgeted,
+                };
+                flow.run(&weighted, &weighted, &mut stats, &mut footprint)
+            }
+        };
+        let answer = match outcome {
+            Outcome::Aborted(reason) => Answer::aborted(reason, stats),
+            outcome => Answer::new(outcome, stats),
+        };
+        (answer, footprint)
     }
 }
 
@@ -897,65 +834,35 @@ impl Engine for Verifier<'_> {
         self.net
     }
 
+    /// Always computes: a compiled query carries no key to look up.
     fn verify_compiled(&self, cq: &CompiledQuery, opts: &VerifyOptions) -> Answer {
         let t_start = Instant::now();
-        let mut stats = EngineStats::new();
-        stats.validation_issues = self.validation_issues;
-        stats.t_precomp = self.precomp.build_time();
-        // Sampled again on every return path: the construction cache may
-        // have grown (or evicted) during this very call.
-        stats.bytes_resident = self.resident_bytes();
+        let (mut answer, _) = self.compute(cq, opts);
+        self.stamp(&mut answer.stats, t_start);
+        answer
+    }
 
-        // ---- quick-decide pre-pass -----------------------------------
-        // An empty header or path language means no configuration can be
-        // accepted; the over-approximation would come back empty, so
-        // answer the conclusive "no" without constructing any PDS.
-        if let Some(reason) = quick_decide(cq, self.net) {
-            stats.quick_decided = Some(reason);
-            stats.t_total = t_start.elapsed();
-            return Answer::new(Outcome::Unsatisfied, stats);
-        }
-
-        let budget = opts.budget();
-        let fingerprint = self
-            .cache
-            .as_deref()
-            .map(|cache| (cache, query_fingerprint(cq, opts)));
-        let cache = fingerprint.as_ref().map(|(c, fp)| (*c, fp.as_str()));
-
-        let outcome = match &opts.weights {
-            None => self.verify_dual::<Unweighted, MinTotal>(
-                cq,
-                opts,
-                &budget,
-                cache,
-                &|_| Unweighted,
-                &|_| None,
-                &|m| MinTotal(m.failures),
-                &|_| None,
-                &mut stats,
-            ),
-            Some(spec) => {
-                let spec_over = spec.clone();
-                let spec_under = spec.clone();
-                self.verify_dual::<MinVector, MinVector>(
-                    cq,
-                    opts,
-                    &budget,
-                    cache,
-                    &move |m| spec_over.weigh(m),
-                    &|w| Some(w.0.clone()),
-                    &move |m| spec_under.weigh(m),
-                    &|w| Some(w.0.clone()),
-                    &mut stats,
-                )
+    /// Answer from the cache when `q` was decided before under the same
+    /// weight specification and reduction toggle — before compiling the
+    /// query, and without consulting `opts`' budget: a decided answer
+    /// does not become less true under a tighter deadline. Otherwise
+    /// compile, compute, and remember the answer if it is decided.
+    fn verify(&self, q: &Query, opts: &VerifyOptions) -> Answer {
+        let Some(cache) = self.cache.as_deref() else {
+            return self.verify_compiled(&compile(q, self.net), opts);
+        };
+        let t_start = Instant::now();
+        let key = (q.clone(), opts.weights.clone(), opts.no_reduction);
+        let mut answer = match cache.get(&key) {
+            Some(hit) => hit,
+            None => {
+                let (answer, footprint) = self.compute(&compile(q, self.net), opts);
+                let hit = Answer::new(answer.outcome.clone(), answer.stats.as_cache_hit());
+                cache.insert(key, hit, footprint);
+                answer
             }
         };
-        stats.bytes_resident = self.resident_bytes();
-        stats.t_total = t_start.elapsed();
-        if let Outcome::Aborted(reason) = outcome {
-            return Answer::aborted(reason, stats);
-        }
-        Answer::new(outcome, stats)
+        self.stamp(&mut answer.stats, t_start);
+        answer
     }
 }

@@ -31,20 +31,21 @@
 //!   (`Dual` in the paper's Table 1) or weighted by any
 //!   [`quantities::WeightSpec`] (`Failures` column).
 //! * [`moped`] — a baseline that mimics how the paper used the Moped
-//!   model checker: plain unweighted `post*` on the *unreduced* PDS with
-//!   no dual refinement and no shortest-trace guidance.
+//!   model checker: the same dual flow, but every saturation round-trips
+//!   the PDS through text, expands symbolic filters and runs classic
+//!   unweighted `post*`, with no shortest-trace guidance.
 //!
-//! ## Compile once, verify many
+//! ## Precompute once, remember answers
 //!
 //! The workload is many what-if queries against *one* dataplane, so the
 //! query-independent part of the construction — canonicalized operation
 //! chains, per-group `needed(j)` failure counts, label kind tables — is
 //! precomputed once per network ([`construction::NetworkPrecomp`]) and
 //! shared across queries, both approximation phases, and batch worker
-//! threads. On top of that, a bounded LRU [`cache::ConstructionCache`]
-//! keeps compiled per-query artifacts (built + reduced PDSs) so
-//! re-verifying a query skips straight to saturation. See
-//! [`Verifier::with_cache_size`] / [`Verifier::without_cache`].
+//! threads. On top of that, a bounded LRU [`cache::AnswerCache`] memoises
+//! decided answers keyed on the parsed query, so re-verifying a query
+//! skips the whole pipeline. See [`Verifier::with_cache_size`] /
+//! [`Verifier::without_cache`].
 //!
 //! ## Budgets and telemetry
 //!
@@ -88,11 +89,11 @@ pub mod stream;
 pub mod telemetry;
 
 pub use batch::BatchOptions;
-pub use cache::{ConstructionCache, Footprint, InvalidationReport, DEFAULT_CACHE_SIZE};
+pub use cache::{AnswerCache, CacheKey, Footprint, InvalidationReport, DEFAULT_CACHE_SIZE};
 pub use construction::NetworkPrecomp;
 pub use engine::{
-    query_fingerprint, quick_decide, Answer, Engine, EngineStats, Outcome, QuickReason, Verifier,
-    VerifyOptions, Witness,
+    quick_decide, Answer, Engine, EngineStats, Outcome, QuickReason, Verifier, VerifyOptions,
+    Witness,
 };
 pub use moped::MopedEngine;
 pub use pdaal::budget::{AbortReason, Budget, CancelToken};

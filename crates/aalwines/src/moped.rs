@@ -24,16 +24,14 @@
 //! the main engine, mirroring Figure 3 where the engines are
 //! interchangeable backends.
 
-use crate::construction::{self, ApproxMode, Construction, NetworkPrecomp};
-use crate::engine::{Answer, Engine, EngineStats, Outcome, VerifyOptions, Witness};
-use crate::lift::{lift_run, trace_pairs};
-use netmodel::{feasible_failures, Network};
+use crate::cache::Footprint;
+use crate::construction::NetworkPrecomp;
+use crate::engine::{Answer, DualFlow, Engine, EngineStats, Outcome, PhaseSpec, VerifyOptions};
+use netmodel::Network;
 use pdaal::pautomaton::Provenance;
-use pdaal::reduction::reduce;
-use pdaal::shortest::shortest_accepted;
-use pdaal::witness::reconstruct_run;
+use pdaal::poststar::SaturationStats;
 use pdaal::{AutState, PAutomaton, Pds, RuleOp, StateId, SymbolId, TLabel, TransId, Unweighted};
-use query::{compile, CompiledQuery, Query};
+use query::{CompiledQuery, Query};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -305,20 +303,20 @@ pub fn classic_post_star(
 
 /// Verify a query with the Moped-style backend (unweighted only).
 pub fn verify_moped(net: &Network, q: &Query) -> Answer {
-    let cq = compile(q, net);
-    verify_moped_compiled(net, &cq)
+    MopedEngine::new(net).verify(q, &VerifyOptions::new())
 }
 
 /// The Moped-style baseline as an [`Engine`], so the CLI and
 /// [`Session`](crate::session::Session) can dispatch over backends
 /// uniformly.
 ///
-/// Budget semantics are coarser than the dual engine's: deadlines and
-/// cancellation are honoured at phase boundaries only (the classic
-/// saturation loop is deliberately left as-is — it is the baseline being
-/// measured), and transition budgets are not enforced. Weight
-/// specifications and `no_reduction` are ignored; the baseline is
-/// unweighted and always reduces.
+/// The dual flow, construction, reduction, shortest-trace search and
+/// trace validation are the dual engine's own (and poll the budget where
+/// it does); only the saturation step differs, and it is deliberately
+/// left as-is — it is the baseline being measured — so deadlines and
+/// cancellation are not polled inside it and transition budgets are not
+/// enforced. Weight specifications and `no_reduction` are ignored; the
+/// baseline is unweighted and always reduces.
 pub struct MopedEngine<'a> {
     net: &'a Network,
     validation_issues: usize,
@@ -371,108 +369,35 @@ impl Engine for MopedEngine<'_> {
         let mut stats = EngineStats::new();
         stats.validation_issues = self.validation_issues;
         let budget = opts.budget();
-        // A fresh checker's first tick polls the clock and the token.
-        let over_budget = |b: &pdaal::Budget| b.checker().tick(0).err();
-
-        if let Some(reason) = over_budget(&budget) {
-            stats.t_total = t_start.elapsed();
-            return Answer::aborted(reason, stats);
-        }
-        match run_phase(self.net, &self.precomp, cq, ApproxMode::Over, &mut stats) {
-            Phase::Empty => {
-                stats.t_total = t_start.elapsed();
-                return Answer::new(Outcome::Unsatisfied, stats);
-            }
-            Phase::Witness(w) => {
-                stats.t_total = t_start.elapsed();
-                return Answer::new(Outcome::Satisfied(w), stats);
-            }
-            Phase::Infeasible => {}
-        }
-
-        if let Some(reason) = over_budget(&budget) {
-            stats.t_total = t_start.elapsed();
-            return Answer::aborted(reason, stats);
-        }
-        stats.under_runs += 1;
-        let under = run_phase(self.net, &self.precomp, cq, ApproxMode::Under, &mut stats);
+        let flow = DualFlow {
+            net: self.net,
+            pre: &self.precomp,
+            cq,
+            no_reduction: false,
+            budget: &budget,
+        };
+        // The Moped boundary: file round-trip + explicit expansion + the
+        // classic (unindexed) saturation; unguided in both phases.
+        let spec = PhaseSpec {
+            weigh: &|_| Unweighted,
+            weight_vec: &|_| None,
+            saturate: &|pds, initial, _| {
+                let pds = parse_pds(&serialize_pds(pds));
+                let sat = classic_post_star(&pds, &expand_filters(initial));
+                let stats = SaturationStats {
+                    transitions: sat.transitions().len(),
+                    ..SaturationStats::default()
+                };
+                Ok((sat, stats))
+            },
+        };
+        let outcome = flow.run(&spec, &spec, &mut stats, &mut Footprint::new());
         stats.t_total = t_start.elapsed();
-        match under {
-            Phase::Witness(w) => Answer::new(Outcome::Satisfied(w), stats),
-            _ => Answer::new(Outcome::Inconclusive, stats),
+        match outcome {
+            Outcome::Aborted(reason) => Answer::aborted(reason, stats),
+            outcome => Answer::new(outcome, stats),
         }
     }
-}
-
-/// Result of one approximation phase of the Moped pipeline.
-enum Phase {
-    /// The approximation accepts no configuration at all.
-    Empty,
-    /// A feasible witness was found.
-    Witness(Box<Witness>),
-    /// A configuration exists but no feasible witness was extracted.
-    Infeasible,
-}
-
-fn run_phase(
-    net: &Network,
-    pre: &NetworkPrecomp,
-    cq: &CompiledQuery,
-    mode: ApproxMode,
-    stats: &mut EngineStats,
-) -> Phase {
-    let t0 = Instant::now();
-    let cons: Construction<Unweighted> = construction::build_with(pre, cq, mode, &|_| Unweighted);
-    stats.t_construct += t0.elapsed();
-    if mode == ApproxMode::Over {
-        stats.rules_over = cons.pds.num_rules();
-    } else {
-        stats.rules_under = cons.pds.num_rules();
-    }
-
-    let t0 = Instant::now();
-    let (reduced, removed) = reduce(&cons.pds, &cons.initial, &cons.finals);
-    if mode == ApproxMode::Over {
-        stats.rules_removed = removed;
-    }
-    stats.t_reduce += t0.elapsed();
-
-    // The Moped boundary: explicit expansion + file round-trip + the
-    // classic (unindexed) saturation.
-    let t0 = Instant::now();
-    let pds = parse_pds(&serialize_pds(&reduced));
-    let expanded = expand_filters(&cons.initial);
-    let sat = classic_post_star(&pds, &expanded);
-    if mode == ApproxMode::Over {
-        stats.sat_transitions = sat.transitions().len();
-    }
-    let starts: Vec<(StateId, Unweighted)> = cons.finals.iter().map(|s| (*s, Unweighted)).collect();
-    let found = shortest_accepted(&sat, &starts, &cq.final_);
-    stats.t_solve += t0.elapsed();
-
-    let Some(path) = found else {
-        return Phase::Empty;
-    };
-    let witness = reconstruct_run(&pds, &sat, &path.transitions, &path.word)
-        .ok()
-        .and_then(|run| lift_run(net, &pds, &cons.meta, &run).ok())
-        .and_then(|trace| {
-            feasible_failures(net, &trace_pairs(&trace)).map(|failed| (trace, failed))
-        })
-        .filter(|(_, failed)| failed.len() as u32 <= cq.max_failures);
-    match witness {
-        Some((trace, failed)) => Phase::Witness(Box::new(Witness {
-            trace,
-            failed_links: failed,
-            weight: None,
-        })),
-        None => Phase::Infeasible,
-    }
-}
-
-/// As [`verify_moped`] for an already-compiled query.
-pub fn verify_moped_compiled(net: &Network, cq: &CompiledQuery) -> Answer {
-    MopedEngine::new(net).verify_compiled(cq, &VerifyOptions::new())
 }
 
 #[cfg(test)]

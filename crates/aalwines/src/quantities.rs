@@ -48,7 +48,7 @@ impl fmt::Display for AtomicQuantity {
 }
 
 /// A linear expression `a₁·p₁ + a₂·p₂ + …` over atomic quantities.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct LinearExpr {
     /// `(coefficient, quantity)` terms; the expression is their sum.
     pub terms: Vec<(u64, AtomicQuantity)>,
@@ -105,7 +105,7 @@ impl fmt::Display for LinearExpr {
 
 /// A priority-ordered vector of linear expressions — the paper's
 /// `(expr₁, …, exprₙ)` minimized lexicographically.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct WeightSpec {
     /// The expressions, highest priority first.
     pub exprs: Vec<LinearExpr>,

@@ -1,22 +1,22 @@
 //! A resident verification session: one loaded dataplane plus its warm
-//! state (precomputation, construction cache, watched queries), with
+//! state (precomputation, answer cache, watched queries), with
 //! **incremental re-verification** after dataplane deltas.
 //!
 //! A bare [`Verifier`] is a cold start per network value: validation,
-//! precomputation, and the construction cache all live and die with
+//! precomputation, and the answer cache all live and die with
 //! the borrow. A [`Session`] inverts that — it *owns* the network and
 //! keeps the expensive query-independent state resident across calls,
 //! which is what a long-lived service (the `aalwinesd` daemon, the GUI
 //! bridge) actually needs:
 //!
 //! * [`Session::verify`] / [`Session::verify_batch`] reuse the shared
-//!   [`NetworkPrecomp`] and [`ConstructionCache`] without re-validating
+//!   [`NetworkPrecomp`] and [`AnswerCache`] without re-validating
 //!   the network per call.
 //! * [`Session::apply_delta`] mutates the routing table in place
 //!   (rule add/remove, priority change, link down/up) and then
-//!   invalidates **only** the cached artifacts whose construction-time
-//!   [`Footprint`] intersects the links the delta touched. Everything
-//!   else stays warm, byte-identical, and keeps answering as cache hits.
+//!   invalidates **only** the cached answers whose [`Footprint`]
+//!   intersects the links the delta touched. Everything else stays
+//!   warm, byte-identical, and keeps answering as cache hits.
 //! * Watched queries ([`Session::watch`]) are re-verified after every
 //!   delta; answers that changed come back in the [`DeltaReport`] so a
 //!   service can push them to subscribers.
@@ -25,16 +25,20 @@
 //!
 //! The construction reads the routing table exclusively through the
 //! per-link key lists of links it *visits* as real control states, and
-//! records exactly that visit set as the artifact's footprint. Query
-//! compilation and the quick-decide pre-pass depend only on topology
-//! and labels, which a [`Delta`] never changes (a link-down is modelled
-//! as removing the rules forwarding over the link, not as deleting the
-//! link). A routing delta at links outside an artifact's footprint
-//! therefore cannot change what that construction would rebuild to —
-//! retaining the cached artifact is not a heuristic, it is exact.
+//! an answer's footprint is exactly that visit set, united over the
+//! phases that ran. Query compilation and the quick-decide pre-pass
+//! depend only on topology and labels, which a [`Delta`] never changes
+//! (a link-down is modelled as removing the rules forwarding over the
+//! link, not as deleting the link). A routing delta at links outside an
+//! answer's footprint therefore cannot change the pushdown systems a
+//! recomputation would build; reduction, saturation and the shortest
+//! accepted path are deterministic functions of those; and lifting the
+//! witness and its feasibility check read routing groups only at links
+//! *on the trace*, every one of which is a visited control state. So
+//! retaining the cached answer is not a heuristic, it is exact.
 
 use crate::batch::{run_batch, BatchOptions};
-use crate::cache::{ConstructionCache, Footprint};
+use crate::cache::{AnswerCache, Footprint};
 use crate::construction::NetworkPrecomp;
 use crate::engine::{Answer, Engine, EngineStats, Verifier, VerifyOptions};
 use crate::moped::MopedEngine;
@@ -55,7 +59,7 @@ pub enum Backend {
     #[default]
     Dual,
     /// The Moped-style baseline ([`MopedEngine`]); ignores weights and
-    /// the construction cache.
+    /// the answer cache.
     Moped,
 }
 
@@ -73,7 +77,7 @@ impl Backend {
 ///
 /// Deltas mutate only the routing function `τ`; topology and label
 /// universe are immutable for the lifetime of a session (that is what
-/// keeps compiled queries and cache fingerprints valid across deltas).
+/// keeps parsed queries valid as cache keys across deltas).
 #[derive(Clone, Debug)]
 pub enum Delta {
     /// Add one forwarding entry at `(in_link, label)` with the given
@@ -241,10 +245,10 @@ pub struct DeltaReport {
     pub error: Option<String>,
     /// Distinct links whose key lists changed (the invalidation probe).
     pub touched_links: usize,
-    /// Cached artifacts dropped because their footprint intersects the
+    /// Cached answers dropped because their footprint intersects the
     /// touched links.
     pub invalidated: usize,
-    /// Cached artifacts retained (footprint disjoint from the delta) —
+    /// Cached answers retained (footprint disjoint from the delta) —
     /// these keep answering as cache hits, provably unchanged.
     pub retained: usize,
     /// Watched queries re-verified after the delta.
@@ -298,19 +302,19 @@ pub struct SessionStats {
     pub queries: usize,
     /// Deltas that actually changed the dataplane.
     pub deltas_applied: usize,
-    /// Cached artifacts invalidated across all deltas.
+    /// Cached answers invalidated across all deltas.
     pub invalidated_total: usize,
-    /// Cached artifacts retained across all deltas.
+    /// Cached answers retained across all deltas.
     pub retained_total: usize,
-    /// Currently cached construction artifacts.
+    /// Currently cached answers.
     pub cache_entries: usize,
-    /// Construction-cache capacity (0 when caching is disabled).
+    /// Answer-cache capacity (0 when caching is disabled).
     pub cache_capacity: usize,
     /// Estimated resident heap of precomputation + cache, in bytes.
     pub bytes_resident: usize,
     /// Watched queries registered via [`Session::watch`].
     pub watched: usize,
-    /// Construction-cache entries shed under memory pressure via
+    /// Answer-cache entries shed under memory pressure via
     /// [`Session::shed_cache_to`], cumulative.
     pub shed_entries_total: usize,
     /// Links currently taken down by [`Delta::LinkDown`].
@@ -424,9 +428,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Construction-cache capacity in artifacts; 0 disables caching
-    /// (and with it incremental retention — every delta then recomputes
-    /// from scratch).
+    /// Answer-cache capacity in entries; 0 disables caching (and with
+    /// it incremental retention — every delta then recomputes from
+    /// scratch).
     pub fn cache_size(mut self, capacity: usize) -> Self {
         self.cache_size = capacity;
         self
@@ -451,11 +455,7 @@ impl SessionBuilder {
     pub fn open(self, net: Network) -> Session {
         let validation_issues = net.validate().len();
         let precomp = Arc::new(NetworkPrecomp::new(&net));
-        let cache = if self.cache_size == 0 {
-            None
-        } else {
-            Some(Arc::new(ConstructionCache::new(self.cache_size)))
-        };
+        let cache = (self.cache_size > 0).then(|| Arc::new(AnswerCache::new(self.cache_size)));
         Session {
             net,
             precomp,
@@ -496,7 +496,7 @@ struct Watched {
 pub struct Session {
     net: Network,
     precomp: Arc<NetworkPrecomp>,
-    cache: Option<Arc<ConstructionCache>>,
+    cache: Option<Arc<AnswerCache>>,
     validation_issues: usize,
     backend: Backend,
     opts: VerifyOptions,
@@ -663,7 +663,7 @@ impl Session {
     }
 
     /// Estimated resident heap bytes of the session's warm state
-    /// (precomputation plus construction cache).
+    /// (precomputation plus answer cache).
     pub fn bytes_resident(&self) -> usize {
         let mut bytes = self.precomp.bytes_resident();
         if let Some(cache) = &self.cache {
@@ -673,7 +673,7 @@ impl Session {
     }
 
     /// Graceful degradation under memory pressure: shed
-    /// least-recently-used construction-cache artifacts until
+    /// least-recently-used cached answers until
     /// [`Session::bytes_resident`] fits inside `max_bytes`. The
     /// precomputation itself is not sheddable (it is required for every
     /// future verification), so the cache gets whatever budget remains
@@ -734,7 +734,7 @@ impl Session {
 
     /// Apply one dataplane delta incrementally: mutate the routing
     /// table, rebuild the query-independent precomputation, drop only
-    /// the cached artifacts whose footprint intersects the touched
+    /// the cached answers whose footprint intersects the touched
     /// links, re-verify watched queries, and (when lint state is
     /// resident) incrementally re-lint the touched footprints.
     pub fn apply_delta(&mut self, delta: &Delta) -> DeltaReport {

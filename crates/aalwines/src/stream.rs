@@ -91,7 +91,7 @@ pub struct StreamProgress {
     /// Queries currently in flight.
     pub in_flight: usize,
     /// Estimated resident heap bytes of the session's warm state
-    /// (network + precomputation + construction cache) at this tick.
+    /// (network + precomputation + answer cache) at this tick.
     pub bytes_resident: usize,
 }
 

@@ -50,9 +50,9 @@ pub enum PressureState {
     /// Resident bytes within budget; nothing was shed.
     #[default]
     Normal,
-    /// The budget was exceeded and construction-cache artifacts were
-    /// shed to get back under it; service continues at full function
-    /// but with a colder cache.
+    /// The budget was exceeded and cached answers were shed to get back
+    /// under it; service continues at full function but with a colder
+    /// cache.
     Shedding,
     /// Even an empty cache exceeds the budget: new subscriptions are
     /// refused until resident bytes fall back under it.
@@ -152,9 +152,9 @@ pub struct BatchSummary {
     pub under_runs: usize,
     /// Queries answered by the quick-decide pre-pass (no PDS built).
     pub quick_decided: usize,
-    /// Construction-cache hits summed across the batch.
+    /// Answers served from the answer cache, summed across the batch.
     pub cache_hits: usize,
-    /// Construction-cache misses summed across the batch.
+    /// Answers the dual engine computed, summed across the batch.
     pub cache_misses: usize,
     /// One-time network precomputation cost in milliseconds (maximum
     /// across the batch; every answer from one engine reports the same

@@ -4,9 +4,10 @@
 //! re-verification under randomized delta storms.
 
 use aalwines::examples::paper_network_with_map;
-use aalwines::{Delta, Engine, Session, Verifier, VerifyOptions};
+use aalwines::lift::trace_pairs;
+use aalwines::{Delta, Engine, Outcome, Session, Verifier, VerifyOptions};
 use detrand::DetRng;
-use netmodel::{LabelTable, LinkId, Network, Op, RoutingEntry, Topology};
+use netmodel::{feasible_failures, LabelTable, LinkId, Network, Op, RoutingEntry, Topology};
 use query::{parse_query, Query};
 
 /// Two disjoint islands in one dataplane. Island A (`a0 → a1`) and
@@ -67,7 +68,7 @@ fn footprint_disjoint_deltas_keep_cached_answers_byte_identical() {
     assert!(cached > 0);
 
     // A storm of island-B deltas: every one must retain every cached
-    // artifact (the island-A query's footprint cannot contain a B link)
+    // answer (the island-A query's footprint cannot contain a B link)
     // and leave the answer byte-identical — served entirely from cache.
     let sb = session.network().labels.get("sb").unwrap();
     let ip = session.network().labels.get("ip1").unwrap();
@@ -131,9 +132,12 @@ fn footprint_disjoint_deltas_keep_cached_answers_byte_identical() {
 
 /// Draw one applicable random delta against the current dataplane.
 fn random_delta(net: &Network, rng: &mut DetRng) -> Delta {
-    // Flatten the current rules so Remove/SetPriority target real keys.
+    // Flatten the current rules so Remove/SetPriority target real keys
+    // (in key order: the table's own iteration order differs per run).
+    let mut keys: Vec<_> = net.routing_keys().collect();
+    keys.sort_unstable();
     let mut rules: Vec<(LinkId, netmodel::LabelId, usize, RoutingEntry)> = Vec::new();
-    for (in_link, label) in net.routing_keys() {
+    for (in_link, label) in keys {
         for (gi, group) in net.groups(in_link, label).iter().enumerate() {
             for entry in group {
                 rules.push((in_link, label, gi + 1, entry.clone()));
@@ -195,26 +199,42 @@ fn incremental_answers_equal_cold_reverification_under_delta_storm() {
 
     let mut rng = DetRng::seed_from_u64(0xA41);
     let mut applied = 0usize;
+    let mut replayed_hits = 0usize;
     for step in 0..100 {
         let delta = random_delta(session.network(), &mut rng);
         let report = session.apply_delta(&delta);
         if report.applied {
             applied += 1;
         }
-        // The incremental answer (possibly served from retained cache
-        // entries) must equal a cold engine on a fresh copy of the
+        // Every incremental answer (possibly served from a retained
+        // cache entry) must equal a cold engine on a fresh copy of the
         // mutated dataplane — witness and all.
-        let q = &queries[step % queries.len()];
-        let warm = session.verify(q);
         let cold_net = session.network().clone();
-        let cold = Verifier::new(&cold_net).verify(q, &VerifyOptions::new());
-        assert_eq!(
-            signature(&warm),
-            signature(&cold),
-            "step {step} ({:?}): incremental diverged from cold rebuild",
-            delta.kind()
-        );
+        let cold_engine = Verifier::new(&cold_net).without_cache();
+        for q in &queries {
+            let warm = session.verify(q);
+            let cold = cold_engine.verify(q, &VerifyOptions::new());
+            assert_eq!(
+                signature(&warm),
+                signature(&cold),
+                "step {step} ({:?}): incremental diverged from cold rebuild",
+                delta.kind()
+            );
+            // A witness served from an entry that survived the delta
+            // must still replay on the *post-delta* dataplane within the
+            // failure bound — it would not if its footprint under-covered.
+            if let (true, Outcome::Satisfied(w)) = (warm.stats.cache_hits > 0, &warm.outcome) {
+                replayed_hits += 1;
+                let failed = feasible_failures(session.network(), &trace_pairs(&w.trace))
+                    .unwrap_or_else(|| panic!("step {step}: retained witness does not replay"));
+                assert!(failed.len() as u32 <= q.max_failures, "step {step}");
+            }
+        }
     }
+    assert!(
+        replayed_hits > 0,
+        "the storm never served a retained witness"
+    );
     assert!(
         applied > 50,
         "the storm should mostly apply ({applied}/100)"
@@ -260,10 +280,6 @@ fn incremental_lint_is_byte_identical_under_delta_storms() {
                 delta.kind()
             );
         }
-        // `random_delta` draws from `routing_keys()` whose iteration
-        // order is unspecified, so the applied count varies run to run
-        // (the byte-identity assertions above do not): keep the floor
-        // loose.
         assert!(
             applied > 50,
             "seed {seed:#x}: the storm should mostly apply ({applied}/200)"

@@ -2,9 +2,9 @@
 //!
 //! A line-delimited-JSON daemon over a Unix domain socket that keeps
 //! one dataplane loaded as an [`aalwines::Session`]: network
-//! validation, query-independent precomputation, and the construction
+//! validation, query-independent precomputation, and the answer
 //! cache all stay warm across requests, and dataplane deltas are
-//! applied **incrementally** — only cached artifacts whose footprint
+//! applied **incrementally** — only cached answers whose footprint
 //! intersects the delta are invalidated, and changed answers to
 //! subscribed queries are pushed to their clients.
 //!
@@ -60,7 +60,7 @@
 //!   structured `error` — a slow or oversized client costs one
 //!   connection, never a wedged thread.
 //! * **Graceful degradation.** When resident bytes exceed
-//!   [`DaemonConfig::max_resident_bytes`], construction-cache entries
+//!   [`DaemonConfig::max_resident_bytes`], cached answers
 //!   are shed LRU-first; if even that is not enough, new subscriptions
 //!   are refused until memory recovers. A panicking request handler is
 //!   caught per connection ([`std::panic::catch_unwind`]): the client
@@ -123,7 +123,7 @@ pub fn peer_of(w: impl Write + Send + 'static) -> Peer {
 pub struct DaemonConfig {
     /// Worker threads for `batch` requests.
     pub threads: usize,
-    /// Construction-cache capacity in artifacts (0 disables caching).
+    /// Answer-cache capacity in entries (0 disables caching).
     pub cache_size: usize,
     /// Maximum concurrent client connections; further connections are
     /// shed with a `busy` envelope instead of queueing.
@@ -723,7 +723,7 @@ impl Daemon {
     }
 
     /// Enforce the resident-memory budget on `session`: shed
-    /// construction-cache entries LRU-first when over it, and — when
+    /// cached answers LRU-first when over it, and — when
     /// even an empty cache cannot meet the budget — raise the pressure
     /// to `Refusing` so new subscriptions are turned away until memory
     /// recovers. No-op when the budget is 0 (unbounded).

@@ -11,7 +11,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 aalwinesd — resident what-if verification service (NDJSON over a Unix socket)
 
 USAGE:
@@ -29,7 +31,7 @@ OPTIONS:
     --locations PATH         preload: optional router-coordinate JSON
     --repair                 drop ill-formed rules while preloading
     --threads N              worker threads for batch requests (default 1)
-    --cache-size N           construction-cache capacity (default 256, 0 = off)
+    --cache-size N           answer-cache capacity in entries (default {}, 0 = off)
     --journal PATH           write-ahead journal: replay it at startup, then
                              record every load/delta/subscribe for crash safety
     --max-clients N          concurrent-connection cap; extra connections get
@@ -45,7 +47,10 @@ OPTIONS:
     --smoke                  run a self-contained end-to-end exercise and exit
     --smoke-reconnect        kill -9 a child daemon mid-stream and verify the
                              journal replay + client reconnect path; exit
-";
+",
+        aalwines::DEFAULT_CACHE_SIZE
+    )
+}
 
 struct Args {
     socket: Option<PathBuf>,
@@ -118,7 +123,7 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--smoke-reconnect" => args.smoke_reconnect = true,
             "--help" | "-h" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag '{other}'")),
@@ -145,7 +150,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -156,7 +161,10 @@ fn main() -> ExitCode {
         return report_smoke("smoke-reconnect", smoke_reconnect());
     }
     let Some(socket) = args.socket.clone() else {
-        eprintln!("error: --socket is required (or --smoke/--smoke-reconnect)\n\n{USAGE}");
+        eprintln!(
+            "error: --socket is required (or --smoke/--smoke-reconnect)\n\n{}",
+            usage()
+        );
         return ExitCode::FAILURE;
     };
     let daemon = match &args.journal {

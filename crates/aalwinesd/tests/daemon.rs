@@ -167,8 +167,8 @@ fn concurrent_clients_deltas_and_pushes_end_to_end() {
     assert_eq!(counters.get("applied"), Some(&Value::Bool(true)));
     let invalidated = counters.get("invalidated").and_then(Value::as_f64).unwrap() as usize;
     let retained = counters.get("retained").and_then(Value::as_f64).unwrap() as usize;
-    // Invalidation is exact: every cached artifact is either dropped
-    // (footprint intersects the delta) or retained — never rebuilt "to
+    // Invalidation is exact: every cached answer is either dropped
+    // (footprint intersects the delta) or retained — never recomputed "to
     // be safe".
     assert_eq!(
         invalidated + retained,

@@ -114,7 +114,7 @@ fn outcome_repr(outcome: &Outcome) -> String {
 }
 
 /// Answer every query on `verifier`, returning canonical outcome
-/// renderings and the total construction-cache hits observed.
+/// renderings and the total answer-cache hits observed.
 fn batch_outcomes(verifier: &Verifier<'_>, queries: &[query::Query]) -> (Vec<String>, usize) {
     let mut hits = 0usize;
     let reprs = queries
@@ -151,7 +151,7 @@ fn batch_cache_smoke(dp: &Dataplane, queries: &[query::Query]) -> usize {
     }
     assert_eq!(uncached, cold, "cold cached batch diverges from uncached");
     assert_eq!(uncached, warm, "warm cached batch diverges from uncached");
-    assert!(warm_hits > 0, "warm batch never hit the construction cache");
+    assert!(warm_hits > 0, "warm batch never hit the answer cache");
     println!(
         "batch-cache smoke: {} queries, outcomes identical, {warm_hits} warm cache hits",
         queries.len()
@@ -345,15 +345,15 @@ fn main() {
         }),
     );
 
-    println!("== batch construction cache ==");
+    println!("== batch answer cache ==");
     let (bdp, batch_queries) = batch_workload();
     // Identity first (untimed): cached answers must match uncached ones
     // exactly; panics if they don't, so `outcomesIdentical` below is
     // only ever written as true.
     batch_cache_smoke(&bdp, &batch_queries);
     let batch_iters = if json_mode { 9 } else { 5 };
-    // Pre-PR behavior: a fresh engine per query recomputes the network
-    // precomp and compiles every construction from scratch.
+    // A fresh engine per batch recomputes the network precomp and
+    // verifies every query from scratch.
     let uncached_s = bench("batch/uncached", batch_iters, || {
         let v = Verifier::new(&bdp.net).without_cache();
         for q in &batch_queries {
@@ -361,7 +361,7 @@ fn main() {
         }
     });
     record("batch/uncached", uncached_s);
-    // Ablation: shared precomp, but no per-query artifact cache.
+    // Ablation: shared precomp, but no answer cache.
     let shared = Verifier::new(&bdp.net).without_cache();
     let shared_s = bench("batch/shared-precomp", batch_iters, || {
         for q in &batch_queries {

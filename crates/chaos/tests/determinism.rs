@@ -45,7 +45,7 @@ fn outcome_repr(outcome: &Outcome) -> String {
 }
 
 /// Every non-timing stats field. `bytes_resident` is deliberately
-/// included: it depends on the construction cache's exact contents.
+/// included: it depends on the answer cache's exact contents.
 fn stats_repr(s: &EngineStats) -> String {
     format!(
         "rulesOver={} rulesRemoved={} rulesUnder={} satTransitions={} \
@@ -137,7 +137,7 @@ fn paper_network_answers_repeat_across_network_instances() {
         // The corpus must actually exercise the warm-cache path.
         assert!(
             baseline.iter().any(|l| !l.contains("cacheHits=0")),
-            "opts#{oi}: corpus never hit the construction cache"
+            "opts#{oi}: corpus never hit the answer cache"
         );
     }
 }

@@ -120,7 +120,7 @@ fn chaos_mutants_differential() {
 
 // ---------------------------------------------------------------------------
 // Compile-once / verify-many differentials: the shared [`NetworkPrecomp`]
-// and the per-query construction cache must be invisible — byte-identical
+// and the answer cache must be invisible — byte-identical
 // PDS constructions and identical answers versus a fresh build every time.
 // ---------------------------------------------------------------------------
 
@@ -305,6 +305,79 @@ fn repeated_query_is_a_pure_cache_hit() {
         outcome_repr(&second.outcome),
         "cache hit changed the outcome"
     );
+}
+
+#[test]
+fn aborted_answers_are_never_cached_and_decided_ones_outlive_budgets() {
+    let net = paper_network();
+    let q = parse_query("<ip> [.#v0] .* [v3#.] <ip> 2").expect("query parses");
+    let starved = VerifyOptions::new().with_transition_budget(1);
+
+    // Aborted first: the next unbudgeted call must compute and decide.
+    let verifier = Verifier::new(&net);
+    let aborted = verifier.verify(&q, &starved);
+    assert!(
+        matches!(aborted.outcome, Outcome::Aborted(_)),
+        "{:?}",
+        aborted.outcome
+    );
+    let decided = verifier.verify(&q, &VerifyOptions::new());
+    assert_eq!(
+        decided.stats.cache_hits, 0,
+        "an abort was served from cache"
+    );
+    assert!(decided.stats.cache_misses >= 1);
+    assert!(decided.outcome.is_conclusive(), "{:?}", decided.outcome);
+
+    // Decided first: the budget is not part of the key, and a decided
+    // answer stays true under a tighter one, so the starved call hits.
+    let again = verifier.verify(&q, &starved);
+    assert_eq!((again.stats.cache_hits, again.stats.cache_misses), (1, 0));
+    assert_eq!(outcome_repr(&again.outcome), outcome_repr(&decided.outcome));
+}
+
+#[test]
+fn cache_keys_separate_k_weights_and_reduction() {
+    let net = paper_network();
+    let cached = Verifier::new(&net);
+    let uncached = Verifier::new(&net).without_cache();
+    let weighted = VerifyOptions::new()
+        .with_weights(WeightSpec::parse("Failures, Hops").expect("weight spec parses"));
+    let variants = [
+        ("<ip> [.#v0] .* [v3#.] <ip> 0", VerifyOptions::new()),
+        ("<ip> [.#v0] .* [v3#.] <ip> 1", VerifyOptions::new()),
+        ("<ip> [.#v0] .* [v3#.] <ip> 0", weighted),
+        (
+            "<ip> [.#v0] .* [v3#.] <ip> 0",
+            VerifyOptions::new().without_reduction(),
+        ),
+    ];
+    // One query text, four keys: every first call computes (an aliased
+    // key would be served the previous variant's answer as a hit) and
+    // agrees with the cache-less engine under the same options.
+    for (i, (text, opts)) in variants.iter().enumerate() {
+        let q = parse_query(text).expect("query parses");
+        let first = cached.verify(&q, opts);
+        assert_eq!(
+            first.stats.cache_hits, 0,
+            "variant {i} aliased an earlier key"
+        );
+        assert!(first.stats.cache_misses >= 1, "variant {i}");
+        assert_eq!(
+            outcome_repr(&first.outcome),
+            outcome_repr(&uncached.verify(&q, opts).outcome),
+            "variant {i}"
+        );
+    }
+    for (i, (text, opts)) in variants.iter().enumerate() {
+        let q = parse_query(text).expect("query parses");
+        let second = cached.verify(&q, opts);
+        assert_eq!(
+            (second.stats.cache_hits, second.stats.cache_misses),
+            (1, 0),
+            "variant {i} must be served from its own entry"
+        );
+    }
 }
 
 #[test]

@@ -613,24 +613,25 @@ impl Network {
     /// fault injection via [`Network::add_rule_unchecked`].
     pub fn validate(&self) -> Vec<ValidationIssue> {
         let mut problems = Vec::new();
-        let mut push = |severity, kind, location: String| {
+        // Locations are rendered here, i.e. only for checks that failed:
+        // a clean table formats nothing.
+        let mut push = |severity, kind, location: fmt::Arguments<'_>| {
             problems.push(ValidationIssue {
                 severity,
                 kind,
-                location,
+                location: location.to_string(),
             })
         };
         for ((in_link, label), groups) in &self.table {
-            let key_loc = format!(
-                "({}, {})",
-                self.safe_link_name(*in_link),
-                self.safe_label_name(*label)
-            );
+            let key_loc = fmt::from_fn(|f| {
+                let (link, label) = (self.safe_link_name(*in_link), self.safe_label_name(*label));
+                write!(f, "({link}, {label})")
+            });
             if label.index() >= self.labels.len() {
                 push(
                     Severity::Error,
                     IssueKind::UnknownLabel,
-                    format!("rule {key_loc} keyed on unknown label id {}", label.index()),
+                    format_args!("rule {key_loc} keyed on unknown label id {}", label.index()),
                 );
             }
             let in_ok = in_link.index() < self.topology.num_links() as usize;
@@ -638,7 +639,7 @@ impl Network {
                 push(
                     Severity::Error,
                     IssueKind::LinkOutOfRange,
-                    format!(
+                    format_args!(
                         "rule {key_loc} keyed on out-of-range link id {}",
                         in_link.index()
                     ),
@@ -649,7 +650,7 @@ impl Network {
                     push(
                         Severity::Warning,
                         IssueKind::EmptyGroup,
-                        format!("empty priority group {} for {key_loc}", gi + 1),
+                        format_args!("empty priority group {} for {key_loc}", gi + 1),
                     );
                 }
                 for entry in group {
@@ -657,7 +658,7 @@ impl Network {
                         push(
                             Severity::Error,
                             IssueKind::LinkOutOfRange,
-                            format!(
+                            format_args!(
                                 "rule {key_loc} forwards over out-of-range link id {}",
                                 entry.out.index()
                             ),
@@ -666,7 +667,7 @@ impl Network {
                         push(
                             Severity::Error,
                             IssueKind::NonAdjacentRule,
-                            format!(
+                            format_args!(
                                 "rule {key_loc} forwards over non-adjacent {}",
                                 self.safe_link_name(entry.out)
                             ),
@@ -678,7 +679,7 @@ impl Network {
                                 push(
                                     Severity::Error,
                                     IssueKind::UnknownLabel,
-                                    format!(
+                                    format_args!(
                                         "rule {key_loc} operation references unknown label id {}",
                                         l.index()
                                     ),
@@ -930,11 +931,62 @@ mod tests {
                 ops: vec![Op::Push(LabelId(55))].into(),
             },
         );
+        net.add_rule_unchecked(
+            e[1],
+            ip,
+            1,
+            RoutingEntry {
+                out: e[0],
+                ops: vec![].into(),
+            },
+        );
         let issues = net.validate();
         assert!(issues.iter().any(|i| i.kind == IssueKind::LinkOutOfRange));
         assert!(issues.iter().any(|i| i.kind == IssueKind::UnknownLabel));
         assert!(issues.iter().any(|i| i.kind == IssueKind::EmptyGroup));
         assert!(issues.iter().all(|i| !i.location.is_empty()));
+        // Golden: one issue per reporting site, exact text (the table is
+        // a HashMap, so compare in location order).
+        use IssueKind::*;
+        use Severity::*;
+        let mut got: Vec<(Severity, IssueKind, &str)> = issues
+            .iter()
+            .map(|i| (i.severity, i.kind, i.location.as_str()))
+            .collect();
+        got.sort_by_key(|t| t.2);
+        let want = [
+            (
+                Warning,
+                EmptyGroup,
+                "empty priority group 1 for (v0.i0->v1.i1, ip1)",
+            ),
+            (
+                Error,
+                LinkOutOfRange,
+                "rule (link#77, ip1) keyed on out-of-range link id 77",
+            ),
+            (
+                Error,
+                LinkOutOfRange,
+                "rule (v0.i0->v1.i1, ip1) forwards over out-of-range link id 88",
+            ),
+            (
+                Error,
+                UnknownLabel,
+                "rule (v0.i0->v1.i1, ip1) operation references unknown label id 55",
+            ),
+            (
+                Error,
+                UnknownLabel,
+                "rule (v0.i0->v1.i1, label#99) keyed on unknown label id 99",
+            ),
+            (
+                Error,
+                NonAdjacentRule,
+                "rule (v1.i2->v2.i3, ip1) forwards over non-adjacent v0.i0->v1.i1",
+            ),
+        ];
+        assert_eq!(got, want);
         // Display renders severity + kind + location.
         let rendered = issues[0].to_string();
         assert!(rendered.contains('['));

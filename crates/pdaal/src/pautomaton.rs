@@ -431,36 +431,6 @@ impl<W: Weight> PAutomaton<W> {
         &self.transitions
     }
 
-    /// Estimated resident heap size of this automaton in bytes
-    /// (transitions, filters, per-state indexes). Capacity-based
-    /// estimate for `bytesResident`-style telemetry.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut bytes = size_of::<Self>();
-        bytes += self.transitions.capacity() * size_of::<Transition<W>>();
-        bytes += self.filters.capacity() * size_of::<SymFilter>();
-        for f in &self.filters {
-            if let SymFilter::In(set) | SymFilter::NotIn(set) = f {
-                bytes += set.capacity() * size_of::<crate::SymbolId>();
-            }
-        }
-        bytes += self.index.capacity() * size_of::<OutIndex>();
-        for ix in &self.index {
-            bytes += match ix {
-                OutIndex::Sorted(v) => v.capacity() * size_of::<(u64, TransId)>(),
-                OutIndex::Hashed(m) => m.capacity() * size_of::<(u64, TransId)>(),
-            };
-        }
-        bytes += self.out.capacity() * size_of::<Vec<TransId>>();
-        bytes += self
-            .out
-            .iter()
-            .map(|l| l.capacity() * size_of::<TransId>())
-            .sum::<usize>();
-        bytes += self.finals.capacity();
-        bytes
-    }
-
     /// Ids of transitions leaving `s` (ε and non-ε).
     pub fn out_of(&self, s: AutState) -> &[TransId] {
         &self.out[s.index()]

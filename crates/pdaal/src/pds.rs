@@ -183,37 +183,6 @@ impl<W: Weight> Pds<W> {
         self.rules.len()
     }
 
-    /// Estimated resident heap size of this PDS in bytes: the rule list
-    /// plus all construction-time indexes. An estimate from container
-    /// capacities (allocator slack and `Vec` headers of nested maps are
-    /// approximated), meant for `bytesResident`-style telemetry, not
-    /// accounting.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let sym_rules = |s: &SymRules| -> usize {
-            s.syms.capacity() * size_of::<SymbolId>()
-                + s.lists.capacity() * size_of::<Vec<RuleId>>()
-                + s.lists
-                    .iter()
-                    .map(|l| l.capacity() * size_of::<RuleId>())
-                    .sum::<usize>()
-        };
-        let mut bytes = size_of::<Self>();
-        bytes += self.rules.capacity() * size_of::<Rule<W>>();
-        bytes += self.states.capacity() * size_of::<StateIndex>();
-        for st in &self.states {
-            bytes += st.all.capacity() * size_of::<RuleId>();
-            bytes += sym_rules(&st.by_head) + sym_rules(&st.swap_into) + sym_rules(&st.push_first);
-        }
-        bytes += self.push_second.capacity() * size_of::<Vec<RuleId>>();
-        bytes += self
-            .push_second
-            .iter()
-            .map(|l| l.capacity() * size_of::<RuleId>())
-            .sum::<usize>();
-        bytes
-    }
-
     /// Allocate an additional control state and return its id.
     pub fn add_state(&mut self) -> StateId {
         let id = StateId(self.n_states);

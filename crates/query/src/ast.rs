@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A generic regular expression over atoms of type `A`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Regex<A> {
     /// The empty word.
     Epsilon,
@@ -44,7 +44,7 @@ impl<A> Regex<A> {
 }
 
 /// An atom of a label regex.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum LabelAtom {
     /// `.` — any label.
     Any,
@@ -65,7 +65,7 @@ pub enum LabelAtom {
 }
 
 /// One side of a link atom.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Endpoint {
     /// `.` — any router.
     Any,
@@ -78,7 +78,7 @@ pub enum Endpoint {
 /// An atom of a link regex: `[from#to]`, optionally negated (`[^from#to]`
 /// matches every link *not* matched by `[from#to]`). The bare `.` is
 /// represented as a non-negated `Any#Any`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LinkAtom {
     /// Whether the atom is complemented.
     pub negated: bool,
@@ -100,7 +100,7 @@ impl LinkAtom {
 }
 
 /// A full reachability query `<initial> path <final> k`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Query {
     /// Constraint `a` on the initial header.
     pub initial: Regex<LabelAtom>,

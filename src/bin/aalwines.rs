@@ -467,7 +467,7 @@ fn main() -> ExitCode {
     let show_stats = has("--stats");
     let json_output = has("--json");
 
-    // Construction cache (dual engine only; Moped has no cache).
+    // Answer cache (dual engine only; Moped has no cache).
     if has("--no-cache") {
         builder = builder.cache_size(0);
     }

@@ -118,7 +118,7 @@ fn cli_cache_flags_conflict_is_usage_error() {
 fn bounded_window_on_100k_query_stream() {
     // 100k query texts cycling the demo suite: long enough that any
     // collect-the-stream implementation would be obvious, cheap enough
-    // (construction-cache hits after the first six) to run in-tier.
+    // (answer-cache hits after the first six) to run in-tier.
     let net = aalwines::examples::paper_network();
     let session = SessionBuilder::new().threads(4).open(net);
     const N: usize = 100_000;
