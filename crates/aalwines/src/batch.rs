@@ -139,6 +139,32 @@ impl BatchOptions {
     }
 }
 
+/// Answer one query of a batch or stream: `Aborted` without running once
+/// the batch budget is spent, otherwise `engine.verify` under
+/// `effective` (the per-query options with the batch budget folded in).
+///
+/// Panic isolation: a residual panic in one query (corrupt input an
+/// engine cannot tolerate, or a genuine bug) becomes `Outcome::Error`
+/// instead of poisoning the whole batch.
+pub(crate) fn answer_isolated(
+    engine: &dyn Engine,
+    q: &Query,
+    effective: &VerifyOptions,
+    batch: &BatchOptions,
+) -> Answer {
+    if let Some(reason) = batch.exhausted() {
+        return Answer::aborted(reason, EngineStats::new());
+    }
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.verify(q, effective))) {
+        Ok(answer) => answer,
+        Err(payload) => Answer::error(format!(
+            "engine '{}' panicked: {}",
+            engine.name(),
+            panic_message(payload.as_ref())
+        )),
+    }
+}
+
 /// Verify `queries` with `engine` under per-query options `opts` and
 /// whole-batch options `batch`. Returns exactly one [`Answer`] per
 /// query, in query order; queries reached after the batch budget is
@@ -153,24 +179,7 @@ pub(crate) fn run_batch(
     batch: &BatchOptions,
 ) -> Vec<Answer> {
     let effective = batch.fold_into(opts);
-    let answer_one = |q: &Query| match batch.exhausted() {
-        Some(reason) => Answer::aborted(reason, EngineStats::new()),
-        // Panic isolation: a residual panic in one query (corrupt input
-        // an engine cannot tolerate, or a genuine bug) becomes
-        // `Outcome::Error` instead of poisoning the whole batch.
-        None => {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.verify(q, &effective)
-            })) {
-                Ok(answer) => answer,
-                Err(payload) => Answer::error(format!(
-                    "engine '{}' panicked: {}",
-                    engine.name(),
-                    panic_message(payload.as_ref())
-                )),
-            }
-        }
-    };
+    let answer_one = |q: &Query| answer_isolated(engine, q, &effective, batch);
 
     if batch.threads <= 1 || queries.len() <= 1 {
         return queries.iter().map(answer_one).collect();

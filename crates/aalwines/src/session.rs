@@ -582,6 +582,14 @@ impl Session {
     /// order) using the session's worker threads.
     pub fn verify_batch(&self, queries: &[Query]) -> Vec<Answer> {
         self.queries.fetch_add(queries.len(), Ordering::Relaxed);
+        let batch = self.batch_options();
+        self.with_engine(|e| run_batch(e, queries, &self.opts, &batch))
+    }
+
+    /// Whole-run options for a batch or stream starting now: the
+    /// session's worker threads, its batch timeout counted from this
+    /// call, and its cancel token.
+    fn batch_options(&self) -> BatchOptions {
         let mut batch = BatchOptions::new().with_threads(self.threads);
         if let Some(timeout) = self.batch_timeout {
             batch = batch.with_timeout(timeout);
@@ -591,7 +599,7 @@ impl Session {
         if let Some(cancel) = &self.opts.cancel {
             batch = batch.with_cancel(cancel.clone());
         }
-        self.with_engine(|e| run_batch(e, queries, &self.opts, &batch))
+        batch
     }
 
     /// Stream query texts through parse → verify → emit with bounded
@@ -617,13 +625,7 @@ impl Session {
     where
         I: Iterator<Item = String> + Send,
     {
-        let mut batch = BatchOptions::new().with_threads(self.threads);
-        if let Some(timeout) = self.batch_timeout {
-            batch = batch.with_timeout(timeout);
-        }
-        if let Some(cancel) = &self.opts.cancel {
-            batch = batch.with_cancel(cancel.clone());
-        }
+        let batch = self.batch_options();
         let bytes = || self.net.bytes_resident() + self.bytes_resident();
         let summary =
             self.with_engine(|e| run_stream(e, lines, &self.opts, &batch, stream, &bytes, emit));

@@ -22,8 +22,8 @@
 //!
 //! [`Session::verify_batch`]: crate::session::Session::verify_batch
 
-use crate::batch::{panic_message, BatchOptions};
-use crate::engine::{Answer, Engine, EngineStats, VerifyOptions};
+use crate::batch::{answer_isolated, panic_message, BatchOptions};
+use crate::engine::{Answer, Engine, VerifyOptions};
 use crate::telemetry::{millis, BatchSummary, JsonObject, SummaryBuilder};
 use query::parse_query;
 use std::collections::BTreeMap;
@@ -258,23 +258,7 @@ where
 {
     let started = Instant::now();
     let effective = batch.fold_into(opts);
-    let answer_one = |q: &query::Query| match batch.exhausted() {
-        Some(reason) => Answer::aborted(reason, EngineStats::new()),
-        // Same double panic isolation as the batch driver: a panic in
-        // one query becomes its `Outcome::Error` answer.
-        None => {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.verify(q, &effective)
-            })) {
-                Ok(answer) => answer,
-                Err(payload) => Answer::error(format!(
-                    "engine '{}' panicked: {}",
-                    engine.name(),
-                    panic_message(payload.as_ref())
-                )),
-            }
-        }
-    };
+    let answer_one = |q: &query::Query| answer_isolated(engine, q, &effective, batch);
 
     let gate = Gate::new(stream.window);
     let mut acc = SummaryBuilder::new();

@@ -16,9 +16,9 @@
 //!
 //! | verb       | request fields                                  | response kind   |
 //! |------------|-------------------------------------------------|-----------------|
-//! | `load`     | `demo:true` \| `topology`,`routing`[,`locations`,`repair`] | `loaded` |
+//! | `load`     | `demo:true` \| `topology`,`routing`\[,`locations`,`repair`\] | `loaded` |
 //! | `query`    | `query` (text)                                  | `answer`        |
-//! | `batch`    | `queries` (array of texts)[,`window`,`progressMillis`] | `batch-answer`×N, then `batch-result` |
+//! | `batch`    | `queries` (array of texts)\[,`window`,`progressMillis`\] | `batch-answer`×N, then `batch-result` |
 //! | `stats`    | —                                               | `session-stats` |
 //! | `health`   | —                                               | `health`        |
 //! | `subscribe`| `query` (text)                                  | `subscribed`    |

@@ -1,5 +1,5 @@
-//! Micro-benchmarks for the pdaal saturation engines: `post*` vs
-//! `pre*`, the overhead of the weight domains (unweighted / scalar
+//! Micro-benchmarks for the pdaal `post*` saturation engine: rule-count
+//! scaling, the overhead of the weight domains (unweighted / scalar
 //! min-plus / lexicographic vectors), the overhead of budget checks in
 //! the worklist loop (acceptance bar < 2%), and — since the dense-index
 //! rework — a head-to-head against the frozen seed-fidelity
@@ -13,9 +13,9 @@
 //!
 //! * default       — print the micro-benchmark table to stdout.
 //! * `--json`      — run the before/after workloads (paper network,
-//!   Zoo-like network, synthetic k=2 dual construction, synthetic
-//!   pre*) and write `BENCH_saturation.json`; the commit hash is taken
-//!   from the `BENCH_COMMIT` env var. Format documented in DESIGN.md.
+//!   Zoo-like network, synthetic k=2 dual construction) and write
+//!   `BENCH_saturation.json`; the commit hash is taken from the
+//!   `BENCH_COMMIT` env var. Format documented in DESIGN.md.
 //! * `--smoke`     — one small paper-network case, dense vs reference;
 //!   exits non-zero only on a panic or a miscount. Used by CI as a
 //!   regression tripwire, not a timing gate.
@@ -27,8 +27,7 @@ use chaos::paper_queries;
 use detrand::DetRng;
 use pdaal::budget::Budget;
 use pdaal::poststar::{post_star, post_star_budgeted, post_star_with_stats, SaturationStats};
-use pdaal::prestar::{pre_star, pre_star_with_stats};
-use pdaal::reference::{post_star_ref, pre_star_ref};
+use pdaal::reference::post_star_ref;
 use pdaal::{
     AutState, MinTotal, MinVector, PAutomaton, Pds, RuleOp, StateId, SymbolId, Unweighted, Weight,
 };
@@ -124,13 +123,11 @@ fn median_ns<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One before/after workload: a batch of constructions saturated with
-/// `post*` per iteration (plus an optional raw-PDS `pre*` batch).
+/// `post*` per iteration.
 struct Workload {
     name: &'static str,
     /// (pds, initial) pairs saturated with post* each iteration.
     post: Vec<Construction<MinTotal>>,
-    /// (pds, target) pairs saturated with pre* each iteration.
-    pre: Vec<(Pds<MinTotal>, PAutomaton<MinTotal>)>,
     iters: u32,
 }
 
@@ -146,7 +143,6 @@ fn paper_workload(iters: u32) -> Workload {
     Workload {
         name: "paper_network",
         post,
-        pre: Vec::new(),
         iters,
     }
 }
@@ -178,7 +174,6 @@ fn zoo_workload(iters: u32) -> Workload {
     Workload {
         name: "zoo_like",
         post,
-        pre: Vec::new(),
         iters,
     }
 }
@@ -214,26 +209,6 @@ fn synthetic_k2_dual_workload(iters: u32) -> Workload {
     Workload {
         name: "synthetic_k2_dual",
         post,
-        pre: Vec::new(),
-        iters,
-    }
-}
-
-/// Raw random PDSs exercising the `pre*` hot loop (the network engines
-/// above are post*-driven, so pre* gets its own workload).
-fn synthetic_prestar_workload(iters: u32) -> Workload {
-    let pre = [45u64, 46, 47]
-        .iter()
-        .map(|&seed| {
-            let pds = random_pds(200, 50, 5_000, seed, MinTotal);
-            let target = single_config(&pds, 3);
-            (pds, target)
-        })
-        .collect();
-    Workload {
-        name: "synthetic_prestar",
-        post: Vec::new(),
-        pre,
         iters,
     }
 }
@@ -249,13 +224,6 @@ fn run_dense(w: &Workload) -> SaturationStats {
         total.mid_states += s.mid_states;
         total.worklist_requeues_avoided += s.worklist_requeues_avoided;
     }
-    for (pds, target) in &w.pre {
-        let (_, s) = pre_star_with_stats(pds, target);
-        total.transitions += s.transitions;
-        total.worklist_pops += s.worklist_pops;
-        total.mid_states += s.mid_states;
-        total.worklist_requeues_avoided += s.worklist_requeues_avoided;
-    }
     total
 }
 
@@ -264,12 +232,6 @@ fn run_reference(w: &Workload) -> SaturationStats {
     let mut total = SaturationStats::default();
     for c in &w.post {
         let (_, s) = post_star_ref(&c.pds, &c.initial);
-        total.transitions += s.transitions;
-        total.worklist_pops += s.worklist_pops;
-        total.mid_states += s.mid_states;
-    }
-    for (pds, target) in &w.pre {
-        let (_, s) = pre_star_ref(pds, target);
         total.transitions += s.transitions;
         total.worklist_pops += s.worklist_pops;
         total.mid_states += s.mid_states;
@@ -307,7 +269,7 @@ fn measure_workload(w: &Workload) -> String {
 
     let mut o = JsonObject::new();
     o.string("name", w.name);
-    o.number("constructions", (w.post.len() + w.pre.len()) as f64);
+    o.number("constructions", w.post.len() as f64);
     o.number("iters", w.iters as f64);
     o.number("beforeMedianNs", before);
     o.number("afterMedianNs", after);
@@ -328,7 +290,6 @@ fn json_main() {
         paper_workload(40),
         zoo_workload(20),
         synthetic_k2_dual_workload(20),
-        synthetic_prestar_workload(30),
     ];
     println!("== before/after (reference vs dense), median over N iters ==");
     let objs: Vec<String> = workloads.iter().map(measure_workload).collect();
@@ -343,7 +304,7 @@ fn json_main() {
         "before",
         "pdaal::reference (frozen seed-fidelity implementation)",
     );
-    root.string("after", "pdaal::poststar / pdaal::prestar (dense-index)");
+    root.string("after", "pdaal::poststar (dense-index)");
     // Recorded so numbers from different hosts are comparable.
     root.number(
         "hostCores",
@@ -402,19 +363,11 @@ fn default_main() {
         });
     }
 
-    println!("== direction ==");
-    let pds = random_pds(200, 50, 5_000, 43, |_| Unweighted);
-    let init = single_config(&pds, 3);
-    bench("direction/post_star", 100, || post_star(&pds, &init));
-    bench("direction/pre_star", 100, || pre_star(&pds, &init));
-
     println!("== dense vs frozen reference ==");
     let pds = random_pds(200, 50, 5_000, 43, MinTotal);
     let init = single_config(&pds, 3);
     bench("reference/post_star", 100, || post_star_ref(&pds, &init));
     bench("dense/post_star", 100, || post_star_with_stats(&pds, &init));
-    bench("reference/pre_star", 100, || pre_star_ref(&pds, &init));
-    bench("dense/pre_star", 100, || pre_star_with_stats(&pds, &init));
 
     println!("== weight domains ==");
     let unweighted = random_pds(200, 50, 5_000, 44, |_| Unweighted);

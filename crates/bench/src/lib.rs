@@ -9,8 +9,7 @@
 //!   engines, plus inconclusive-rate accounting),
 //!
 //! plus micro-benchmarks for the engine internals (saturation,
-//! reductions on/off, `pre*` vs `post*`, weight-domain overhead, budget
-//! checking).
+//! reductions on/off, weight-domain overhead, budget checking).
 //!
 //! All harness code uses wall-clock timing of the same code paths the
 //! library exposes publicly; workloads are seeded and deterministic.

@@ -9,10 +9,10 @@
 //! * a cooperative **cancellation token** shared across threads.
 //!
 //! The budgeted entry points ([`post_star_budgeted`],
-//! [`pre_star_budgeted`], [`shortest_accepted_budgeted`]) check the
-//! budget inside their worklist loops via [`BudgetChecker::tick`] and
-//! return a [`SaturationAbort`] carrying the reason and the statistics
-//! accumulated so far instead of running to completion.
+//! [`shortest_accepted_budgeted`]) check the budget inside their worklist
+//! loops via [`BudgetChecker::tick`] and return a [`SaturationAbort`]
+//! carrying the reason and the statistics accumulated so far instead of
+//! running to completion.
 //!
 //! The transition cap is compared on every tick (it is a plain integer
 //! comparison); the clock and the cancellation flag are only consulted
@@ -20,7 +20,6 @@
 //! 2% overhead bar.
 //!
 //! [`post_star_budgeted`]: crate::poststar::post_star_budgeted
-//! [`pre_star_budgeted`]: crate::prestar::pre_star_budgeted
 //! [`shortest_accepted_budgeted`]: crate::shortest::shortest_accepted_budgeted
 
 use crate::poststar::SaturationStats;

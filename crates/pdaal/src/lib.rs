@@ -7,9 +7,9 @@
 //!   pops, swaps, or pushes relative to the top-of-stack symbol,
 //! * [`PAutomaton`] — weighted finite automata over stack symbols used to
 //!   represent regular sets of pushdown configurations,
-//! * [`post_star`](poststar::post_star) and [`pre_star`](prestar::pre_star) —
-//!   worklist saturation procedures computing the set of configurations
-//!   reachable from / backward-reachable to a regular configuration set,
+//! * [`post_star`](poststar::post_star) — the worklist saturation procedure
+//!   computing the set of configurations reachable from a regular
+//!   configuration set (the one direction AalWiNes decides queries with),
 //!   generalized to bounded idempotent semirings following
 //!   Reps, Schwoon, Jha and Melski (*Weighted pushdown systems and their
 //!   application to interprocedural dataflow analysis*, SCP 2005),
@@ -60,13 +60,11 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod dot;
 pub mod fxhash;
 pub mod nfa;
 pub mod pautomaton;
 pub mod pds;
 pub mod poststar;
-pub mod prestar;
 pub mod reduction;
 pub mod reference;
 pub mod semiring;

@@ -121,28 +121,6 @@ pub enum Provenance {
         /// The non-ε transition it was composed with.
         next: TransId,
     },
-    /// `pre*`: `(p, γ, p')` added directly by a pop rule.
-    PrePop {
-        /// The pop rule.
-        rule: RuleId,
-    },
-    /// `pre*`: `(p, γ, q)` added by a swap rule composed with `(p', γ', q)`.
-    PreSwap {
-        /// The swap rule.
-        rule: RuleId,
-        /// The transition `(p', γ', q)` reading the swapped-in symbol.
-        next: TransId,
-    },
-    /// `pre*`: `(p, γ, q₂)` added by a push rule composed with
-    /// `(p', γ₁, q₁)` and `(q₁, γ₂, q₂)`.
-    PrePush {
-        /// The push rule.
-        rule: RuleId,
-        /// The transition reading the first pushed symbol.
-        next1: TransId,
-        /// The transition reading the second pushed symbol.
-        next2: TransId,
-    },
 }
 
 /// A weighted transition `(from, label, to)`.

@@ -9,17 +9,17 @@
 //!
 //! ## Rule indexing
 //!
-//! All rule indexes are maintained incrementally at construction time, so
-//! the saturation procedures never rebuild them per call:
+//! Both rule indexes are maintained incrementally at construction time,
+//! so `post*` never rebuilds them per call:
 //!
 //! * a per-state list of all rules ([`Pds::rules_of_state`], used when a
 //!   *filter* transition can stand for many head symbols),
 //! * a per-state, symbol-sorted head index ([`Pds::rules_for`], the
 //!   `post*` hot lookup) — binary search over a small sorted array
-//!   instead of hashing a `(StateId, SymbolId)` pair,
-//! * backward indexes by what a rule *produces*
-//!   ([`Pds::swap_rules_into`], [`Pds::push_rules_by_first`],
-//!   [`Pds::push_rules_by_second`], the `pre*` hot lookups).
+//!   instead of hashing a `(StateId, SymbolId)` pair.
+//!
+//! Both are keyed on what a rule *consumes*; nothing is indexed by what a
+//! rule produces, because forward saturation never asks.
 //!
 //! The head index is per-state sparse: AalWiNes-scale systems pair
 //! hundreds of thousands of control states with tens of thousands of
@@ -125,7 +125,7 @@ impl SymRules {
     }
 }
 
-/// Per-state rule indexes, all maintained incrementally by
+/// Per-state rule indexes, both maintained incrementally by
 /// [`Pds::add_rule`].
 #[derive(Clone, Debug, Default)]
 struct StateIndex {
@@ -133,26 +133,17 @@ struct StateIndex {
     all: Vec<RuleId>,
     /// Rules by consumed head symbol (`post*` forward lookup).
     by_head: SymRules,
-    /// Rules `<_, _> → <this, Swap(γ')>` by swapped-in symbol γ'
-    /// (`pre*` backward lookup).
-    swap_into: SymRules,
-    /// Rules `<_, _> → <this, Push(γ₁, _)>` by first pushed symbol γ₁
-    /// (`pre*` backward lookup).
-    push_first: SymRules,
 }
 
 /// A weighted pushdown system: a set of control states, a stack alphabet,
-/// and a list of normal-form rules with construction-time indexes for
-/// both saturation directions (see the module docs).
+/// and a list of normal-form rules with the construction-time indexes
+/// `post*` reads (see the module docs).
 #[derive(Clone)]
 pub struct Pds<W> {
     n_states: u32,
     n_symbols: u32,
     rules: Vec<Rule<W>>,
     states: Vec<StateIndex>,
-    /// Push rules by *second* pushed symbol γ₂, dense over the alphabet
-    /// (`pre*` backward lookup; empty inner vectors cost one pointer).
-    push_second: Vec<Vec<RuleId>>,
 }
 
 impl<W: Weight> Pds<W> {
@@ -164,7 +155,6 @@ impl<W: Weight> Pds<W> {
             n_symbols,
             rules: Vec::new(),
             states: vec![StateIndex::default(); n_states as usize],
-            push_second: vec![Vec::new(); n_symbols as usize],
         }
     }
 
@@ -202,6 +192,7 @@ impl<W: Weight> Pds<W> {
         tag: u64,
     ) -> RuleId {
         debug_assert!(from.0 < self.n_states, "state out of range");
+        debug_assert!(to.0 < self.n_states, "target state out of range");
         debug_assert!(sym.0 < self.n_symbols, "symbol out of range");
         let id = RuleId(self.rules.len() as u32);
         self.rules.push(Rule {
@@ -212,17 +203,9 @@ impl<W: Weight> Pds<W> {
             weight,
             tag,
         });
-        let fi = from.index();
-        self.states[fi].all.push(id);
-        self.states[fi].by_head.push(sym, id);
-        match op {
-            RuleOp::Pop => {}
-            RuleOp::Swap(g) => self.states[to.index()].swap_into.push(g, id),
-            RuleOp::Push(g1, g2) => {
-                self.states[to.index()].push_first.push(g1, id);
-                self.push_second[g2.index()].push(id);
-            }
-        }
+        let index = &mut self.states[from.index()];
+        index.all.push(id);
+        index.by_head.push(sym, id);
         id
     }
 
@@ -246,24 +229,6 @@ impl<W: Weight> Pds<W> {
     /// match many head symbols at once.
     pub fn rules_of_state(&self, from: StateId) -> &[RuleId] {
         &self.states[from.index()].all
-    }
-
-    /// Ids of swap rules `<_, _> → <to, γ'>` producing `γ'` at `to`
-    /// (the `pre*` swap lookup).
-    pub fn swap_rules_into(&self, to: StateId, swapped_in: SymbolId) -> &[RuleId] {
-        self.states[to.index()].swap_into.get(swapped_in)
-    }
-
-    /// Ids of push rules `<_, _> → <to, γ₁ γ₂>` whose *first* pushed
-    /// symbol is `g1` (the `pre*` push lookup, case "t reads γ₁").
-    pub fn push_rules_by_first(&self, to: StateId, g1: SymbolId) -> &[RuleId] {
-        self.states[to.index()].push_first.get(g1)
-    }
-
-    /// Ids of push rules whose *second* pushed symbol is `g2` (the
-    /// `pre*` push lookup, case "t reads γ₂").
-    pub fn push_rules_by_second(&self, g2: SymbolId) -> &[RuleId] {
-        &self.push_second[g2.index()]
     }
 
     /// Build a new PDS containing only the rules for which `keep` returns
@@ -335,45 +300,34 @@ mod tests {
 
     #[test]
     fn filter_rules_preserves_kept() {
-        let mut pds = Pds::<Unweighted>::new(1, 2);
-        pds.add_rule(
-            StateId(0),
-            SymbolId(0),
-            StateId(0),
-            RuleOp::Pop,
-            Unweighted,
-            1,
-        );
-        pds.add_rule(
-            StateId(0),
-            SymbolId(1),
-            StateId(0),
-            RuleOp::Pop,
-            Unweighted,
-            2,
-        );
-        let kept = pds.filter_rules(|r| r.tag == 2);
-        assert_eq!(kept.num_rules(), 1);
-        assert_eq!(kept.rules()[0].sym, SymbolId(1));
-    }
+        let mut pds = Pds::<Unweighted>::new(2, 3);
+        // Tags are the insertion order; heads interleave states and symbols
+        // so that no index is accidentally sorted by tag.
+        let heads = [(1, 2), (0, 1), (1, 2), (0, 0), (0, 1), (1, 0), (0, 1)];
+        for (tag, (p, g)) in heads.into_iter().enumerate() {
+            pds.add_rule(
+                StateId(p),
+                SymbolId(g),
+                StateId(0),
+                RuleOp::Pop,
+                Unweighted,
+                tag as u64,
+            );
+        }
+        let kept = pds.filter_rules(|r| r.tag != 1 && r.tag != 5);
+        let tags = |ids: &[RuleId]| ids.iter().map(|&r| kept.rule(r).tag).collect::<Vec<_>>();
 
-    #[test]
-    fn backward_indexes_cover_all_ops() {
-        let mut pds = Pds::<Unweighted>::new(3, 4);
-        let (a, b, c, d) = (SymbolId(0), SymbolId(1), SymbolId(2), SymbolId(3));
-        let swap = pds.add_rule(StateId(0), a, StateId(1), RuleOp::Swap(b), Unweighted, 0);
-        let push = pds.add_rule(StateId(1), b, StateId(2), RuleOp::Push(c, d), Unweighted, 1);
-        let pop = pds.add_rule(StateId(2), c, StateId(0), RuleOp::Pop, Unweighted, 2);
-
-        assert_eq!(pds.swap_rules_into(StateId(1), b), &[swap]);
-        assert!(pds.swap_rules_into(StateId(1), a).is_empty());
-        assert!(pds.swap_rules_into(StateId(2), b).is_empty());
-        assert_eq!(pds.push_rules_by_first(StateId(2), c), &[push]);
-        assert!(pds.push_rules_by_first(StateId(2), d).is_empty());
-        assert_eq!(pds.push_rules_by_second(d), &[push]);
-        assert!(pds.push_rules_by_second(c).is_empty());
-        // Pops appear only in the forward indexes.
-        assert_eq!(pds.rules_for(StateId(2), c), &[pop]);
+        // Kept rules keep their relative insertion order everywhere a
+        // saturation reads them: that order picks which of several equal
+        // witnesses is found (and then remembered by the answer cache).
+        let all: Vec<u64> = kept.rules().iter().map(|r| r.tag).collect();
+        assert_eq!(all, [0, 2, 3, 4, 6]);
+        assert_eq!(tags(kept.rules_of_state(StateId(0))), [3, 4, 6]);
+        assert_eq!(tags(kept.rules_of_state(StateId(1))), [0, 2]);
+        assert_eq!(tags(kept.rules_for(StateId(0), SymbolId(1))), [4, 6]);
+        assert_eq!(tags(kept.rules_for(StateId(0), SymbolId(0))), [3]);
+        assert_eq!(tags(kept.rules_for(StateId(1), SymbolId(2))), [0, 2]);
+        assert!(kept.rules_for(StateId(1), SymbolId(0)).is_empty());
     }
 
     #[test]

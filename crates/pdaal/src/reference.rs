@@ -1,4 +1,4 @@
-//! Frozen reference implementation of `post*`/`pre*` saturation.
+//! Frozen reference implementation of `post*` saturation.
 //!
 //! This module preserves, verbatim in structure and cost profile, the
 //! *pre-optimization* saturation code path: a SipHash-keyed
@@ -6,11 +6,11 @@
 //! scratch on every call, an un-deduplicated worklist, and per-pop
 //! `to_vec()`/`clone()` snapshots. It exists for two reasons:
 //!
-//! 1. **Differential testing** — the dense-index implementations in
-//!    [`crate::poststar`]/[`crate::prestar`] must produce the same
-//!    language, the same weights, and replayable witnesses. The harness
-//!    in `tests/differential.rs` checks them against this module on
-//!    hundreds of randomized systems.
+//! 1. **Differential testing** — the dense-index implementation in
+//!    [`crate::poststar`] must produce the same language, the same
+//!    weights, and replayable witnesses. The harness in
+//!    `tests/differential.rs` checks it against this module on hundreds
+//!    of randomized systems.
 //! 2. **Honest benchmarking** — `aalwines-bench` measures the speedup of
 //!    the dense path against this module *in the same process and build*,
 //!    so the before/after numbers in `BENCH_saturation.json` are
@@ -126,10 +126,6 @@ impl<W: Weight> RefAutomaton<W> {
 
     fn out_of(&self, s: AutState) -> &[TransId] {
         &self.out[s.index()]
-    }
-
-    fn find(&self, from: AutState, label: TLabel, to: AutState) -> Option<TransId> {
-        self.index.get(&(from, label, to)).copied()
     }
 
     /// The seed `insert_or_combine`: SipHash triple-map lookup, combine
@@ -356,176 +352,6 @@ pub fn post_star_ref<W: Weight>(
     (aut, stats)
 }
 
-/// Seed-fidelity `pre*`. Same fixpoint as
-/// [`pre_star`](crate::prestar::pre_star); pre-optimization data layout
-/// and allocation behavior.
-pub fn pre_star_ref<W: Weight>(
-    pds: &Pds<W>,
-    target: &PAutomaton<W>,
-) -> (RefAutomaton<W>, SaturationStats) {
-    let mut stats = SaturationStats::default();
-    for t in target.transitions() {
-        assert!(
-            matches!(t.label, TLabel::Sym(_)),
-            "pre*: input automaton must be ε-free and symbol-concrete"
-        );
-        assert!(
-            !target.is_pds_state(t.to),
-            "pre*: input automaton must not have transitions into PDS states"
-        );
-    }
-
-    let mut aut = RefAutomaton::from_pautomaton(target);
-
-    let mut swap_by: HashMap<(StateId, SymbolId), Vec<RuleId>> = HashMap::new();
-    let mut push_by_first: HashMap<(StateId, SymbolId), Vec<RuleId>> = HashMap::new();
-    let mut push_by_second: HashMap<SymbolId, Vec<RuleId>> = HashMap::new();
-    for (i, r) in pds.rules().iter().enumerate() {
-        let rid = RuleId(i as u32);
-        match r.op {
-            RuleOp::Pop => {}
-            RuleOp::Swap(g) => swap_by.entry((r.to, g)).or_default().push(rid),
-            RuleOp::Push(g1, g2) => {
-                push_by_first.entry((r.to, g1)).or_default().push(rid);
-                push_by_second.entry(g2).or_default().push(rid);
-            }
-        }
-    }
-
-    let mut by_head: HashMap<(AutState, SymbolId), Vec<TransId>> = HashMap::new();
-    let mut worklist: VecDeque<TransId> = VecDeque::new();
-
-    macro_rules! upd {
-        ($from:expr, $sym:expr, $to:expr, $w:expr, $prov:expr) => {{
-            let existed = aut.find($from, TLabel::Sym($sym), $to).is_some();
-            let (tid, improved) = aut.insert_or_combine($from, TLabel::Sym($sym), $to, $w, $prov);
-            if !existed {
-                by_head.entry(($from, $sym)).or_default().push(tid);
-            }
-            if improved {
-                worklist.push_back(tid);
-            }
-        }};
-    }
-
-    for i in 0..aut.transitions().len() {
-        let tid = TransId(i as u32);
-        let t = aut.transition(tid);
-        let TLabel::Sym(sym) = t.label else {
-            unreachable!("checked above")
-        };
-        by_head.entry((t.from, sym)).or_default().push(tid);
-        worklist.push_back(tid);
-    }
-    for (i, r) in pds.rules().iter().enumerate() {
-        if let RuleOp::Pop = r.op {
-            let rid = RuleId(i as u32);
-            upd!(
-                AutState(r.from.0),
-                r.sym,
-                AutState(r.to.0),
-                r.weight.clone(),
-                Provenance::PrePop { rule: rid }
-            );
-        }
-    }
-
-    while let Some(tid) = worklist.pop_front() {
-        stats.worklist_pops += 1;
-        let (from, label, to, d) = {
-            let t = aut.transition(tid);
-            let TLabel::Sym(sym) = t.label else {
-                unreachable!("pre* only creates symbol transitions")
-            };
-            (t.from, sym, t.to, t.weight.clone())
-        };
-
-        if from.0 < pds.num_states() {
-            let p_prime = StateId(from.0);
-            if let Some(rules) = swap_by.get(&(p_prime, label)) {
-                for &rid in rules {
-                    let r = pds.rule(rid);
-                    let w = r.weight.extend(&d);
-                    upd!(
-                        AutState(r.from.0),
-                        r.sym,
-                        to,
-                        w,
-                        Provenance::PreSwap {
-                            rule: rid,
-                            next: tid
-                        }
-                    );
-                }
-            }
-            if let Some(rules) = push_by_first.get(&(p_prime, label)) {
-                for &rid in rules {
-                    let r = pds.rule(rid);
-                    let RuleOp::Push(_, g2) = r.op else {
-                        unreachable!()
-                    };
-                    let followers: Vec<TransId> =
-                        by_head.get(&(to, g2)).cloned().unwrap_or_default();
-                    for t2 in followers {
-                        let (to2, d2) = {
-                            let tt = aut.transition(t2);
-                            (tt.to, tt.weight.clone())
-                        };
-                        let w = r.weight.extend(&d).extend(&d2);
-                        upd!(
-                            AutState(r.from.0),
-                            r.sym,
-                            to2,
-                            w,
-                            Provenance::PrePush {
-                                rule: rid,
-                                next1: tid,
-                                next2: t2
-                            }
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(rules) = push_by_second.get(&label) {
-            for &rid in rules {
-                let r = pds.rule(rid);
-                let RuleOp::Push(g1, _) = r.op else {
-                    unreachable!()
-                };
-                let firsts: Vec<TransId> = by_head
-                    .get(&(AutState(r.to.0), g1))
-                    .cloned()
-                    .unwrap_or_default();
-                for t1 in firsts {
-                    let (to1, d1) = {
-                        let tt = aut.transition(t1);
-                        (tt.to, tt.weight.clone())
-                    };
-                    if to1 != from {
-                        continue;
-                    }
-                    let w = r.weight.extend(&d1).extend(&d);
-                    upd!(
-                        AutState(r.from.0),
-                        r.sym,
-                        to,
-                        w,
-                        Provenance::PrePush {
-                            rule: rid,
-                            next1: t1,
-                            next2: tid
-                        }
-                    );
-                }
-            }
-        }
-    }
-
-    stats.transitions = aut.transitions().len();
-    (aut, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,19 +391,6 @@ mod tests {
         assert!(sat.accepts(st(2), &[c, a]));
         assert!(sat.accepts(st(0), &[]));
         assert!(!sat.accepts(st(1), &[a]));
-    }
-
-    #[test]
-    fn reference_prestar_weights_match() {
-        let mut pds = Pds::<MinTotal>::new(3, 3);
-        let (a, b, g) = (sym(0), sym(1), sym(2));
-        pds.add_rule(st(0), a, st(2), RuleOp::Swap(g), MinTotal(7), 0);
-        pds.add_rule(st(0), a, st(1), RuleOp::Swap(b), MinTotal(1), 1);
-        pds.add_rule(st(1), b, st(2), RuleOp::Swap(g), MinTotal(1), 2);
-        let target = single_config(&pds, st(2), &[g]);
-        let (r, _) = pre_star_ref(&pds, &target);
-        let sat = r.into_pautomaton();
-        assert_eq!(sat.accept_weight(st(0), &[a]), Some(MinTotal(2)));
     }
 
     #[test]

@@ -27,11 +27,10 @@ use std::hash::Hash;
 ///   be produced by `extend` from a finite set of generators (boundedness).
 ///
 /// Commutativity is a deliberate restriction compared to general weighted
-/// pushdown systems: it lets the same saturation code serve both `pre*`
-/// and `post*` without tracking the direction in which rule weights are
-/// composed. All quantities used by AalWiNes (hops, latency, tunnels,
-/// failures, and lexicographic vectors of linear expressions over these)
-/// are commutative.
+/// pushdown systems: it lets the saturation code extend weights without
+/// tracking the order in which rule weights are composed. All quantities
+/// used by AalWiNes (hops, latency, tunnels, failures, and lexicographic
+/// vectors of linear expressions over these) are commutative.
 pub trait Weight: Clone + Eq + Ord + Hash + Debug {
     /// The neutral element of `extend` (the weight of the empty run).
     fn one() -> Self;

@@ -171,76 +171,8 @@ pub fn reconstruct_run<W: Weight>(
                 // Same symbols read (ε reads nothing, next reads word[0]).
                 path.splice(0..1, [eps, next]);
             }
-            Provenance::PrePop { .. } | Provenance::PreSwap { .. } | Provenance::PrePush { .. } => {
-                return Err(WitnessError::MalformedPath(
-                    "pre* provenance in post* unwinding; use reconstruct_run_pre",
-                ))
-            }
         }
     }
-}
-
-/// Reconstruct a run from an accepting path of a `pre*`-saturated
-/// automaton.
-///
-/// For `pre*` the accepting path describes the *initial* configuration;
-/// unwinding goes forwards: the returned [`Run`]'s `start_*` fields are
-/// the configuration described by `path`/`word` itself, `rules` lead from
-/// it into the target set.
-pub fn reconstruct_run_pre<W: Weight>(
-    _pds: &Pds<W>,
-    aut: &PAutomaton<W>,
-    path: &[TransId],
-    word: &[SymbolId],
-) -> Result<Run, WitnessError> {
-    let Some(&first) = path.first() else {
-        return Err(WitnessError::MalformedPath(
-            "empty accepting path cannot be unwound without a start state",
-        ));
-    };
-    let start_state = StateId(aut.transition(first).from.0);
-    let start_stack: Vec<SymbolId> = word.to_vec();
-
-    let mut path: Vec<TransId> = path.to_vec();
-    let mut rules: Vec<RuleId> = Vec::new();
-    let mut steps = 0usize;
-
-    loop {
-        steps += 1;
-        if steps > STEP_LIMIT {
-            return Err(WitnessError::StepLimit);
-        }
-        let Some(&head) = path.first() else {
-            break;
-        };
-        let t = aut.transition(head);
-        match t.prov {
-            Provenance::Initial => break,
-            Provenance::PrePop { rule } => {
-                rules.push(rule);
-                path.remove(0);
-            }
-            Provenance::PreSwap { rule, next } => {
-                rules.push(rule);
-                path[0] = next;
-            }
-            Provenance::PrePush { rule, next1, next2 } => {
-                rules.push(rule);
-                path.splice(0..1, [next1, next2]);
-            }
-            _ => {
-                return Err(WitnessError::MalformedPath(
-                    "post* provenance in pre* unwinding; use reconstruct_run",
-                ))
-            }
-        }
-    }
-
-    Ok(Run {
-        start_state,
-        start_stack,
-        rules,
-    })
 }
 
 #[cfg(test)]
@@ -249,7 +181,6 @@ mod tests {
     use crate::nfa::{StackNfa, SymFilter};
     use crate::pautomaton::AutState;
     use crate::poststar::post_star;
-    use crate::prestar::pre_star;
     use crate::semiring::{MinTotal, Unweighted};
     use crate::shortest::shortest_accepted;
 
@@ -385,24 +316,5 @@ mod tests {
         let (fs, fstk) = execute(&pds, run.start_state, &run.start_stack, &run.rules).unwrap();
         assert_eq!(fs, st(1));
         assert_eq!(fstk, vec![c, y]);
-    }
-
-    #[test]
-    fn prestar_witness_executes() {
-        let mut pds = Pds::<Unweighted>::new(3, 3);
-        let (a, b, c) = (sym(0), sym(1), sym(2));
-        pds.add_rule(st(0), a, st(1), RuleOp::Push(b, a), Unweighted, 0);
-        pds.add_rule(st(1), b, st(2), RuleOp::Swap(c), Unweighted, 1);
-
-        let target = initial_single(&pds, st(2), &[c, a]);
-        let sat = pre_star(&pds, &target);
-        let nfa = StackNfa::single_word(&[a]);
-        let p = shortest_accepted(&sat, &[(st(0), Unweighted)], &nfa).expect("in pre*");
-        let run = reconstruct_run_pre(&pds, &sat, &p.transitions, &p.word).expect("witness");
-        assert_eq!(run.start_state, st(0));
-        assert_eq!(run.start_stack, vec![a]);
-        let (fs, fstk) = execute(&pds, run.start_state, &run.start_stack, &run.rules).unwrap();
-        assert_eq!(fs, st(2));
-        assert_eq!(fstk, vec![c, a]);
     }
 }

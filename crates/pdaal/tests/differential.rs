@@ -1,6 +1,6 @@
 //! Differential tests: dense-index saturation vs the frozen reference.
 //!
-//! The dense data layout introduced for the `post*`/`pre*` hot loops
+//! The dense data layout introduced for the `post*` hot loop
 //! (construction-time rule indexes, per-state packed-key adjacency,
 //! worklist dedup, scratch buffers) must be *observationally identical*
 //! to the pre-optimization implementation preserved in
@@ -23,10 +23,9 @@
 
 use detrand::DetRng;
 use pdaal::poststar::post_star_with_stats;
-use pdaal::prestar::pre_star_with_stats;
-use pdaal::reference::{post_star_ref, pre_star_ref};
+use pdaal::reference::post_star_ref;
 use pdaal::shortest::shortest_accepted;
-use pdaal::witness::{reconstruct_run, reconstruct_run_pre, Run};
+use pdaal::witness::{reconstruct_run, Run};
 use pdaal::{
     AutState, MinTotal, PAutomaton, Pds, RuleOp, StackNfa, StateId, SymbolId, TLabel, Weight,
 };
@@ -184,78 +183,6 @@ fn poststar_differential_vs_reference() {
                     // The start must be the seeded configuration.
                     assert_eq!(run.start_state, StateId(0), "case {case}");
                     assert_eq!(run.start_stack, stack, "case {case}");
-                }
-            }
-            (d, r) => panic!(
-                "case {case}: dense found={} reference found={}",
-                d.is_some(),
-                r.is_some()
-            ),
-        }
-    }
-}
-
-/// pre*: dense and reference agree on transition sets, probe answers,
-/// pop counts, and replayable witnesses into the target set.
-#[test]
-fn prestar_differential_vs_reference() {
-    let mut rng = DetRng::seed_from_u64(0xD1FF_0002);
-    for case in 0..cases(120) {
-        let (n_states, n_syms) = (4, 4);
-        let pds = gen_pds(&mut rng, n_states, n_syms, 14);
-        let stack = gen_stack(&mut rng, n_syms, 4);
-        let tstate = StateId(rng.gen_range(0..n_states));
-        let target = single_config(&pds, tstate, &stack);
-
-        let (dense, dstats) = pre_star_with_stats(&pds, &target);
-        let (refr, rstats) = pre_star_ref(&pds, &target);
-        let refr = refr.into_pautomaton();
-
-        assert_eq!(
-            canon(&dense),
-            canon(&refr),
-            "case {case}: saturated transition sets diverge"
-        );
-        assert_eq!(dstats.transitions, rstats.transitions, "case {case}");
-        assert!(
-            dstats.worklist_pops <= rstats.worklist_pops,
-            "case {case}: dedup increased pops ({} > {})",
-            dstats.worklist_pops,
-            rstats.worklist_pops
-        );
-
-        for _ in 0..8 {
-            let p = StateId(rng.gen_range(0..n_states));
-            let w = gen_stack(&mut rng, n_syms, 5);
-            assert_eq!(
-                dense.accept_weight(p, &w),
-                refr.accept_weight(p, &w),
-                "case {case}: probe <{p:?}, {w:?}> diverges"
-            );
-        }
-
-        // Witnesses: the run starts at the configuration the accepting
-        // path describes and its replay ends in the target set.
-        let starts: Vec<(StateId, MinTotal)> =
-            (0..n_states).map(|s| (StateId(s), MinTotal(0))).collect();
-        let nfa = StackNfa::universal();
-        let pd = shortest_accepted(&dense, &starts, &nfa);
-        let pr = shortest_accepted(&refr, &starts, &nfa);
-        match (pd, pr) {
-            (None, None) => {}
-            (Some(pd), Some(pr)) => {
-                assert_eq!(pd.weight, pr.weight, "case {case}: shortest weights");
-                for (aut, path) in [(&dense, &pd), (&refr, &pr)] {
-                    let run = reconstruct_run_pre(&pds, aut, &path.transitions, &path.word)
-                        .expect("witness reconstructs");
-                    assert_eq!(run.start_state, path.start, "case {case}");
-                    assert_eq!(run.start_stack, path.word, "case {case}");
-                    let (end_state, end_stack) = replay(&pds, &run, case);
-                    assert!(
-                        target.accepts(end_state, &end_stack),
-                        "case {case}: witness run must land in the target set \
-                         (got <{end_state:?}, {end_stack:?}>)"
-                    );
                 }
             }
             (d, r) => panic!(

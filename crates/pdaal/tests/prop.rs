@@ -3,14 +3,13 @@
 //! Strategy: generate small random pushdown systems with a seeded
 //! deterministic RNG, compute reachability by brute-force breadth-first
 //! exploration of the (bounded-stack) configuration graph, and compare
-//! against `post*` / `pre*` saturation and the witness reconstruction.
+//! against `post*` saturation and the witness reconstruction.
 //!
 //! The campaigns are deterministic (fixed seeds) and hermetic; building
 //! with `--features slow-tests` multiplies the number of cases.
 
 use detrand::DetRng;
 use pdaal::poststar::post_star;
-use pdaal::prestar::pre_star;
 use pdaal::shortest::shortest_accepted;
 use pdaal::witness::reconstruct_run;
 use pdaal::{
@@ -143,30 +142,6 @@ fn poststar_sound_and_complete_on_bounded() {
     }
 }
 
-/// pre* and post* agree: c' ∈ post*(c) iff c ∈ pre*(c').
-#[test]
-fn prestar_poststar_duality() {
-    let mut rng = DetRng::seed_from_u64(0x5EED_0002);
-    for case in 0..cases(64) {
-        let raw = gen_rules(&mut rng, 3, 3, 1, 8);
-        let start_stack = gen_stack(&mut rng, 3, 1, 3);
-        let target_p = rng.gen_range(0..3u32);
-        let target_stack = gen_stack(&mut rng, 3, 0, 3);
-
-        let pds = build_pds::<Unweighted>(&raw, 3, 3, |_| Unweighted);
-        let init = initial_automaton(&pds, 0, &start_stack);
-        let sat = post_star(&pds, &init);
-        let tgt_word: Vec<SymbolId> = target_stack.iter().map(|&s| SymbolId(s)).collect();
-        let fwd = sat.accepts(StateId(target_p), &tgt_word);
-
-        let target_aut = initial_automaton(&pds, target_p, &target_stack);
-        let back = pre_star(&pds, &target_aut);
-        let start_word: Vec<SymbolId> = start_stack.iter().map(|&s| SymbolId(s)).collect();
-        let bwd = back.accepts(StateId(0), &start_word);
-        assert_eq!(fwd, bwd, "case {case}: post*/pre* disagree");
-    }
-}
-
 /// Weighted post*: the weight reported for each bounded-reachable
 /// configuration is never worse than the brute-force minimum.
 #[test]
@@ -238,35 +213,6 @@ fn witnesses_execute() {
             assert_eq!(run.start_state, StateId(0), "case {case}");
             let ss: Vec<u32> = run.start_stack.iter().map(|s| s.0).collect();
             assert_eq!(&ss, &start_stack, "case {case}");
-        }
-    }
-}
-
-/// Weighted pre*: for every bounded-reachable target, the weight it
-/// reports for the start configuration is never worse than the
-/// brute-force minimum (and present whenever brute force reaches).
-#[test]
-fn weighted_prestar_bounded_by_bruteforce() {
-    let mut rng = DetRng::seed_from_u64(0x5EED_0005);
-    for case in 0..cases(48) {
-        let raw = gen_rules(&mut rng, 3, 3, 1, 8);
-        let start_stack = gen_stack(&mut rng, 3, 1, 3);
-        let target_p = rng.gen_range(0..3u32);
-        let target_stack = gen_stack(&mut rng, 3, 0, 3);
-
-        let pds = build_pds::<MinTotal>(&raw, 3, 3, MinTotal);
-        let reach = brute_force::<MinTotal>(&pds, (0, start_stack.clone()));
-        let target_aut = initial_automaton(&pds, target_p, &target_stack);
-        let back = pre_star(&pds, &target_aut);
-        let start_word: Vec<SymbolId> = start_stack.iter().map(|&s| SymbolId(s)).collect();
-        let via_pre = back.accept_weight(StateId(0), &start_word);
-        if let Some(bf) = reach.get(&(target_p, target_stack.clone())) {
-            let got = via_pre;
-            assert!(got.is_some(), "case {case}: pre* missed a reachable target");
-            assert!(
-                got.unwrap() <= *bf,
-                "case {case}: pre* weight worse than brute force"
-            );
         }
     }
 }

@@ -21,7 +21,7 @@
 //! Example: `<smpls? ip> [.#v0] .* [v3#.] <smpls? ip> 1` (φ₄ of the
 //! paper's Figure 1d).
 //!
-//! [`parse_query`] produces an AST; [`compile`] resolves it against a
+//! [`parse_query`] produces an AST; [`compile()`] resolves it against a
 //! concrete [`Network`](netmodel::Network) into ε-free NFAs: a
 //! [`StackNfa`](pdaal::StackNfa) per header constraint (edges are
 //! symbol-set predicates, so `mpls` does not enumerate thousands of

@@ -4,7 +4,7 @@
 //! Table 1 lists six operator queries; Figure 4 runs "queries like in
 //! Table 1 and in our running example" across the Zoo networks. The
 //! generators here produce textual queries (parseable by
-//! [`query::parse_query`]) against a generated [`Dataplane`], picking
+//! `query::parse_query`) against a generated [`Dataplane`], picking
 //! routers and labels with a seeded RNG.
 
 use crate::lsp::Dataplane;
