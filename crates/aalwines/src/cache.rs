@@ -1,9 +1,9 @@
 //! Bounded memo of decided answers.
 //!
 //! Verification is a deterministic function of (network, query, weight
-//! specification, reduction toggle), so [`AnswerCache`] memoises its
-//! *output*: a thread-safe LRU from [`CacheKey`] — the parsed query and
-//! the two answer-shaping options, compared by value — to the decided
+//! specification), so [`AnswerCache`] memoises its *output*: a
+//! thread-safe LRU from [`CacheKey`] — the parsed query and the weight
+//! specification, compared by value — to the decided
 //! [`Answer`] and the [`Footprint`] of links its computation read. A
 //! repeated query is answered before it is even compiled; nothing the
 //! engine builds on the way (pushdown systems, automata) is retained.
@@ -119,10 +119,10 @@ pub struct InvalidationReport {
 }
 
 /// Everything that shapes a decided answer on one network: the parsed
-/// query (which carries `k`), the weight specification, and whether the
-/// static reductions are off. Budgets are deliberately absent — they
-/// only ever turn an answer into `Aborted`, which is never cached.
-pub type CacheKey = (Query, Option<WeightSpec>, bool);
+/// query (which carries `k`) and the weight specification. Budgets are
+/// deliberately absent — they only ever turn an answer into `Aborted`,
+/// which is never cached.
+pub type CacheKey = (Query, Option<WeightSpec>);
 
 struct Entry {
     answer: Answer,
@@ -169,7 +169,7 @@ fn regex_nodes<A>(r: &Regex<A>) -> usize {
 /// their inline size; the few name bytes behind an atom are not
 /// followed), weight terms, footprint words and witness. Computed from
 /// lengths, not capacities, so the figure repeats across processes.
-fn entry_bytes((query, weights, _): &CacheKey, entry: &Entry) -> usize {
+fn entry_bytes((query, weights): &CacheKey, entry: &Entry) -> usize {
     let mut bytes = size_of::<CacheKey>() + size_of::<Entry>();
     bytes += (regex_nodes(&query.initial) + regex_nodes(&query.final_))
         * size_of::<Regex<LabelAtom>>()
@@ -332,7 +332,7 @@ mod tests {
 
     fn key(name: &str) -> CacheKey {
         let q = parse_query(&format!("<ip> [.#{name}] .* <ip> 0")).unwrap();
-        (q, None, false)
+        (q, None)
     }
 
     /// An `Unsatisfied` answer tagged through `rules_over` so tests can
@@ -376,16 +376,11 @@ mod tests {
     #[test]
     fn keys_compare_every_component_by_value() {
         let cache = AnswerCache::new(8);
-        let (q, _, _) = key("a");
+        let (q, _) = key("a");
         let spec = WeightSpec::single(crate::AtomicQuantity::Hops);
         let mut q1 = q.clone();
         q1.max_failures = 1;
-        let variants = [
-            (q.clone(), None, false),
-            (q1, None, false),
-            (q.clone(), Some(spec), false),
-            (q.clone(), None, true),
-        ];
+        let variants = [(q.clone(), None), (q1, None), (q.clone(), Some(spec))];
         for (tag, k) in variants.iter().enumerate() {
             cache.insert(k.clone(), answer(tag), Footprint::new());
         }

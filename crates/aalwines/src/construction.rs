@@ -577,11 +577,11 @@ pub fn build_with_budget<W: Weight>(
     // Interning filters once per NFA edge.
     let mut edge_labels: Vec<(u32, TLabel, u32)> = Vec::new();
     for e in a.edges() {
-        let lbl = match &e.filter {
-            pdaal::SymFilter::In(set) if set.len() == 1 => {
-                TLabel::Sym(*set.iter().next().expect("singleton"))
-            }
-            f => TLabel::Filter(initial.add_filter(f.clone())),
+        // A one-member filter (a set, or a class minus all but one label)
+        // is a concrete symbol.
+        let lbl = match e.filter.single() {
+            Some(sym) => TLabel::Sym(sym),
+            None => TLabel::Filter(initial.add_filter(e.filter.clone())),
         };
         edge_labels.push((e.from, lbl, e.to));
     }
@@ -962,6 +962,27 @@ mod tests {
                 assert_eq!(fresh.pds.num_rules(), shared.pds.num_rules());
                 assert_eq!(fresh.finals, shared.finals);
             }
+        }
+    }
+
+    #[test]
+    fn one_member_classes_intern_as_symbols() {
+        use crate::examples::paper_network;
+        use pdaal::Unweighted;
+        let net = paper_network();
+        let pre = NetworkPrecomp::new(&net);
+        let sym = |name: &str| SymbolId(net.labels.get(name).unwrap().0);
+        // `ip` is a one-label class here, and `[^30]` leaves one MPLS
+        // label; both read as concrete symbols, the BOS class as a filter.
+        let q = query::parse_query("<[^30] .> [.#v0] .* <ip> 0").unwrap();
+        let cq = query::compile(&q, &net);
+        let cons = build_with(&pre, &cq, ApproxMode::Over, &|_| Unweighted);
+        let labels: Vec<TLabel> = cons.initial.transitions().iter().map(|t| t.label).collect();
+        assert!(labels.contains(&TLabel::Sym(sym("31"))));
+        assert!(labels.contains(&TLabel::Sym(sym("ip1"))));
+        assert!(labels.iter().any(|l| matches!(l, TLabel::Filter(_))));
+        for f in cons.initial.filters() {
+            assert_ne!(f.member_count(), Some(1), "{f:?} should be a symbol");
         }
     }
 

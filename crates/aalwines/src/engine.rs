@@ -41,9 +41,6 @@ pub struct VerifyOptions {
     /// (lexicographic vector of linear expressions). `None` runs the
     /// unweighted `Dual` engine.
     pub weights: Option<WeightSpec>,
-    /// Apply the static reductions before solving (on by default; turning
-    /// them off exists for the ablation benchmarks).
-    pub no_reduction: bool,
     /// Absolute wall-clock deadline for each verification.
     pub deadline: Option<Instant>,
     /// Per-query time allowance, measured from the start of each
@@ -56,7 +53,7 @@ pub struct VerifyOptions {
 }
 
 impl VerifyOptions {
-    /// Default options: unweighted, reductions on, no budget.
+    /// Default options: unweighted, no budget.
     pub fn new() -> Self {
         Self::default()
     }
@@ -64,12 +61,6 @@ impl VerifyOptions {
     /// Minimize witnesses by `spec`.
     pub fn with_weights(mut self, spec: WeightSpec) -> Self {
         self.weights = Some(spec);
-        self
-    }
-
-    /// Disable the static reductions (ablation benchmarks only).
-    pub fn without_reduction(mut self) -> Self {
-        self.no_reduction = true;
         self
     }
 
@@ -542,7 +533,6 @@ pub(crate) struct DualFlow<'a> {
     pub net: &'a Network,
     pub pre: &'a NetworkPrecomp,
     pub cq: &'a CompiledQuery,
-    pub no_reduction: bool,
     pub budget: &'a Budget,
 }
 
@@ -629,13 +619,8 @@ impl DualFlow<'_> {
             return Phase::Aborted(reason);
         }
         let t0 = Instant::now();
-        let (pds, removed) = if self.no_reduction {
-            (unreduced, 0)
-        } else {
-            let reduced = reduce(&unreduced, &initial, &finals);
-            drop(unreduced);
-            reduced
-        };
+        let (pds, removed) = reduce(&unreduced, &initial, &finals);
+        drop(unreduced);
         times.reduce = t0.elapsed();
         if mode == ApproxMode::Over {
             stats.rules_removed = removed;
@@ -783,7 +768,6 @@ impl<'a> Verifier<'a> {
             net: self.net,
             pre: &self.precomp,
             cq,
-            no_reduction: opts.no_reduction,
             budget: &budget,
         };
         let outcome = match &opts.weights {
@@ -843,16 +827,16 @@ impl Engine for Verifier<'_> {
     }
 
     /// Answer from the cache when `q` was decided before under the same
-    /// weight specification and reduction toggle — before compiling the
-    /// query, and without consulting `opts`' budget: a decided answer
-    /// does not become less true under a tighter deadline. Otherwise
-    /// compile, compute, and remember the answer if it is decided.
+    /// weight specification — before compiling the query, and without
+    /// consulting `opts`' budget: a decided answer does not become less
+    /// true under a tighter deadline. Otherwise compile, compute, and
+    /// remember the answer if it is decided.
     fn verify(&self, q: &Query, opts: &VerifyOptions) -> Answer {
         let Some(cache) = self.cache.as_deref() else {
             return self.verify_compiled(&compile(q, self.net), opts);
         };
         let t_start = Instant::now();
-        let key = (q.clone(), opts.weights.clone(), opts.no_reduction);
+        let key = (q.clone(), opts.weights.clone());
         let mut answer = match cache.get(&key) {
             Some(hit) => hit,
             None => {

@@ -315,8 +315,8 @@ pub fn verify_moped(net: &Network, q: &Query) -> Answer {
 /// it does); only the saturation step differs, and it is deliberately
 /// left as-is — it is the baseline being measured — so deadlines and
 /// cancellation are not polled inside it and transition budgets are not
-/// enforced. Weight specifications and `no_reduction` are ignored; the
-/// baseline is unweighted and always reduces.
+/// enforced. Weight specifications are ignored; the baseline is
+/// unweighted.
 pub struct MopedEngine<'a> {
     net: &'a Network,
     validation_issues: usize,
@@ -373,7 +373,6 @@ impl Engine for MopedEngine<'_> {
             net: self.net,
             pre: &self.precomp,
             cq,
-            no_reduction: false,
             budget: &budget,
         };
         // The Moped boundary: file round-trip + explicit expansion + the

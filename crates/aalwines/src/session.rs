@@ -251,7 +251,9 @@ pub struct DeltaReport {
     /// Cached answers retained (footprint disjoint from the delta) —
     /// these keep answering as cache hits, provably unchanged.
     pub retained: usize,
-    /// Watched queries re-verified after the delta.
+    /// Watched queries recomputed after the delta — those whose cached
+    /// answer the delta evicted (every watched query, without a cache).
+    /// Watched queries answered from the cache are not counted.
     pub reverified: usize,
     /// Watched queries whose answer changed, with the new answer.
     pub changed: Vec<ChangedAnswer>,
@@ -442,8 +444,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Replace the per-query options wholesale (weights, reduction
-    /// toggle, transition budget, ...). Budget builders called earlier
+    /// Replace the per-query options wholesale (weights, transition
+    /// budget, ...). Budget builders called earlier
     /// on this builder are overwritten.
     pub fn verify_options(mut self, opts: VerifyOptions) -> Self {
         self.opts = opts;
@@ -872,10 +874,13 @@ impl Session {
         self.retained_total += report.retained;
 
         // Re-verify watched queries against the new dataplane; entries
-        // the delta could not have affected answer straight from cache.
-        report.reverified = self.watched.len();
+        // the delta could not have affected answer straight from cache
+        // and are not counted as re-verified.
         for i in 0..self.watched.len() {
             let answer = self.verify(&self.watched[i].query);
+            // Not `cache_misses`: the Moped baseline computes without
+            // setting it.
+            report.reverified += usize::from(answer.stats.cache_hits == 0);
             let signature = outcome_signature(&answer);
             if signature != self.watched[i].last_signature {
                 self.watched[i].last_signature = signature;

@@ -130,6 +130,37 @@ fn footprint_disjoint_deltas_keep_cached_answers_byte_identical() {
     );
 }
 
+#[test]
+fn reverified_counts_only_recomputed_watches() {
+    let (net, [_f0, f1, _f2], [_g0, g1, _g2]) = two_islands();
+    let mut session = Session::open(net);
+    session.watch("<ip> [.#a0] .* [a1#.] <ip> 0").unwrap();
+    session.watch("<ip> [.#a0] .* <ip> 1").unwrap();
+
+    // Narrow: an island-B delta evicts no watched answer, so every watch
+    // is answered from cache and nothing counts as re-verified.
+    let report = session.apply_delta(&Delta::LinkDown(g1));
+    assert!(report.applied);
+    assert_eq!(report.invalidated, 0);
+    assert_eq!(report.reverified, 0, "every watch answered from cache");
+
+    // Broader: with an island-B watch too, restoring the link evicts and
+    // recomputes that watch alone ...
+    session.watch("<ip> [.#b0] .* [b1#.] <ip> 0").unwrap();
+    let report = session.apply_delta(&Delta::LinkUp(g1));
+    assert!(report.applied);
+    assert_eq!(report.reverified, 1, "only the island-B watch recomputed");
+
+    // ... and downing the island-A core link evicts both island-A ones.
+    let report = session.apply_delta(&Delta::LinkDown(f1));
+    assert!(report.applied);
+    assert_eq!(report.reverified, 2, "both island-A watches recomputed");
+    assert!(
+        !report.changed.is_empty(),
+        "severing island A changes answers"
+    );
+}
+
 /// Draw one applicable random delta against the current dataplane.
 fn random_delta(net: &Network, rng: &mut DetRng) -> Delta {
     // Flatten the current rules so Remove/SetPriority target real keys

@@ -1,7 +1,6 @@
 //! Benchmarks for the full verification pipeline and its design-choice
 //! ablations on a Zoo-like network:
 //!
-//! * reductions on vs off (the paper's "series of reductions"),
 //! * the Dual engine vs the Moped-style baseline,
 //! * the weighted engine's overhead per quantity,
 //! * the Moped filter-expansion cost in isolation.
@@ -165,8 +164,6 @@ fn batch_cache_smoke(dp: &Dataplane, queries: &[query::Query]) -> usize {
 /// pipeline no longer exists in-tree, only its saturation core does
 /// (as `pdaal::reference`).
 const SEED_BASELINE_MS: &[(&str, f64)] = &[
-    ("reductions/on", 6.279),
-    ("reductions/off", 4.539),
     ("engine/dual", 6.306),
     ("engine/moped", 10.084),
     ("engine/weighted_Failures", 7.274),
@@ -256,29 +253,10 @@ fn main() {
     let mut record = |name: &str, per_iter: f64| results.push((name.to_string(), per_iter));
 
     let (dp, queries) = workload();
-    // Cache off for the ablation cases: they measure the full
+    // Cache off for the engine cases: they measure the full
     // compile+solve pipeline per query, comparable to the seed
     // baselines. Caching gets its own cases below.
     let verifier = Verifier::new(&dp.net).without_cache();
-
-    println!("== reductions ablation ==");
-    record(
-        "reductions/on",
-        bench("reductions/on", iters, || {
-            for q in &queries {
-                verifier.verify(q, &VerifyOptions::new());
-            }
-        }),
-    );
-    let no_red = VerifyOptions::new().without_reduction();
-    record(
-        "reductions/off",
-        bench("reductions/off", iters, || {
-            for q in &queries {
-                verifier.verify(q, &no_red);
-            }
-        }),
-    );
 
     println!("== engines ==");
     record(

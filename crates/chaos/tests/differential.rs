@@ -347,12 +347,8 @@ fn cache_keys_separate_k_weights_and_reduction() {
         ("<ip> [.#v0] .* [v3#.] <ip> 0", VerifyOptions::new()),
         ("<ip> [.#v0] .* [v3#.] <ip> 1", VerifyOptions::new()),
         ("<ip> [.#v0] .* [v3#.] <ip> 0", weighted),
-        (
-            "<ip> [.#v0] .* [v3#.] <ip> 0",
-            VerifyOptions::new().without_reduction(),
-        ),
     ];
-    // One query text, four keys: every first call computes (an aliased
+    // One query text, three keys: every first call computes (an aliased
     // key would be served the previous variant's answer as a hit) and
     // agrees with the cache-less engine under the same options.
     for (i, (text, opts)) in variants.iter().enumerate() {

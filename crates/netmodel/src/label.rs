@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The partition a label belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -39,6 +40,9 @@ pub struct LabelTable {
     kinds: Vec<LabelKind>,
     names: Vec<String>,
     by_name: HashMap<String, LabelId>,
+    /// Sorted label ids per kind ([`LabelTable::kind_ids`]), built on
+    /// first use and dropped whenever a label is interned.
+    kind_ids: OnceLock<[Arc<[u32]>; 3]>,
 }
 
 impl LabelTable {
@@ -62,6 +66,7 @@ impl LabelTable {
             return id;
         }
         let id = LabelId(self.kinds.len() as u32);
+        self.kind_ids.take();
         self.kinds.push(kind);
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), id);
@@ -134,6 +139,23 @@ impl LabelTable {
             .map(|(i, _)| LabelId(i as u32))
     }
 
+    /// The ids of every label of kind `kind`, ascending, as one shared
+    /// slice: built once per table on first use (not while labels are
+    /// being interned) and handed out by reference count afterwards, so
+    /// every query over a label class shares one allocation.
+    pub fn kind_ids(&self, kind: LabelKind) -> Arc<[u32]> {
+        let classes = self.kind_ids.get_or_init(|| {
+            [LabelKind::Mpls, LabelKind::MplsBos, LabelKind::Ip]
+                .map(|k| self.of_kind(k).map(|id| id.0).collect())
+        });
+        let slot = match kind {
+            LabelKind::Mpls => 0,
+            LabelKind::MplsBos => 1,
+            LabelKind::Ip => 2,
+        };
+        Arc::clone(&classes[slot])
+    }
+
     /// All label ids.
     pub fn all(&self) -> impl Iterator<Item = LabelId> + '_ {
         (0..self.kinds.len()).map(|i| LabelId(i as u32))
@@ -187,6 +209,21 @@ mod tests {
         let mut t = LabelTable::new();
         t.mpls("x");
         t.ip("x");
+    }
+
+    #[test]
+    fn kind_ids_are_shared_and_refreshed_by_interning() {
+        let mut t = LabelTable::new();
+        t.mpls("30");
+        t.ip("ip1");
+        t.mpls("31");
+        let a = t.kind_ids(LabelKind::Mpls);
+        assert_eq!(&a[..], &[0, 2]);
+        assert!(Arc::ptr_eq(&a, &t.kind_ids(LabelKind::Mpls)));
+        assert!(t.kind_ids(LabelKind::MplsBos).is_empty());
+        t.mpls("32");
+        assert_eq!(&t.kind_ids(LabelKind::Mpls)[..], &[0, 2, 3]);
+        assert_eq!(&t.kind_ids(LabelKind::Ip)[..], &[1]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod shortest;
 pub mod witness;
 
 pub use budget::{AbortReason, Budget, BudgetChecker, CancelToken, SaturationAbort};
-pub use nfa::{StackNfa, SymFilter};
+pub use nfa::{StackNfa, SymFilter, SymbolSet};
 pub use pautomaton::{AutState, FilterId, PAutomaton, Provenance, TLabel, TransId};
 pub use pds::{Pds, Rule, RuleId, RuleOp, StateId, SymbolId};
 pub use poststar::{post_star_threaded, SaturationStats};

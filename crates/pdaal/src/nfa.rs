@@ -5,28 +5,108 @@
 //! that the large label alphabets of MPLS networks (`ip`, `mpls`, `smpls`,
 //! complemented sets) stay compact: one edge can match thousands of
 //! symbols without materializing them.
+//!
+//! ## Symbolic filters
+//!
+//! Every explicit symbol set is a [`SymbolSet`]: sorted, duplicate-free,
+//! read-only and shared by reference count, so cloning a filter never
+//! copies its members. A client that owns a symbol *class* (AalWiNes:
+//! all labels of one kind) builds it once and hands out clones; a filter
+//! over a class minus a few members ([`SymFilter::InExcept`]) keeps the
+//! class shared and stores only the small exception set. Nothing here
+//! knows what a class means — membership is a binary search.
 
 use crate::pds::SymbolId;
 use std::collections::HashSet;
+use std::sync::Arc;
+
+/// A sorted, duplicate-free, shared, read-only set of symbols.
+///
+/// Cloning shares the members. Built either from any symbol iterator
+/// (`collect()` sorts and deduplicates) or from an already sorted,
+/// shared id slice ([`SymbolSet::from_sorted_ids`]) — the form a client
+/// caches per symbol class so every filter over that class shares one
+/// allocation.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct SymbolSet(Arc<[u32]>);
+
+impl SymbolSet {
+    /// The empty set.
+    pub fn empty() -> Self {
+        SymbolSet(Arc::from([]))
+    }
+
+    /// Wrap an already sorted, duplicate-free slice of symbol indices
+    /// without copying it.
+    pub fn from_sorted_ids(ids: Arc<[u32]>) -> Self {
+        debug_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "symbol ids must be strictly increasing"
+        );
+        SymbolSet(ids)
+    }
+
+    /// Whether `sym` is a member.
+    #[inline]
+    pub fn contains(&self, sym: SymbolId) -> bool {
+        self.0.binary_search(&sym.0).is_ok()
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Members in ascending order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = SymbolId> + ExactSizeIterator + '_ {
+        self.0.iter().map(|&i| SymbolId(i))
+    }
+
+    /// Whether both sets share one allocation (a cheap identity test for
+    /// clients that hand out clones of cached classes).
+    pub fn ptr_eq(&self, other: &SymbolSet) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl FromIterator<SymbolId> for SymbolSet {
+    fn from_iter<I: IntoIterator<Item = SymbolId>>(iter: I) -> Self {
+        let mut ids: Vec<u32> = iter.into_iter().map(|s| s.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        SymbolSet(ids.into())
+    }
+}
 
 /// A predicate over stack symbols carried by an NFA edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SymFilter {
     /// Matches every symbol.
     Any,
-    /// Matches exactly the listed symbols.
-    In(HashSet<SymbolId>),
-    /// Matches everything but the listed symbols.
-    NotIn(HashSet<SymbolId>),
+    /// Matches exactly the members of the set — an explicit set or a
+    /// shared class.
+    In(SymbolSet),
+    /// Matches everything but the members of the set.
+    NotIn(SymbolSet),
+    /// Matches the members of the first set (a shared class) that are not
+    /// in the second (a small exception set, kept a subset of the class).
+    InExcept(SymbolSet, SymbolSet),
 }
 
 impl SymFilter {
     /// Whether the filter matches `sym`.
+    #[inline]
     pub fn matches(&self, sym: SymbolId) -> bool {
         match self {
             SymFilter::Any => true,
-            SymFilter::In(set) => set.contains(&sym),
-            SymFilter::NotIn(set) => !set.contains(&sym),
+            SymFilter::In(set) => set.contains(sym),
+            SymFilter::NotIn(set) => !set.contains(sym),
+            SymFilter::InExcept(class, except) => class.contains(sym) && !except.contains(sym),
         }
     }
 
@@ -37,7 +117,42 @@ impl SymFilter {
 
     /// A filter matching no symbol at all (the empty set).
     pub fn none() -> Self {
-        SymFilter::In(HashSet::new())
+        SymFilter::In(SymbolSet::empty())
+    }
+
+    /// The members of an `In`/`InExcept` filter in ascending order, or
+    /// `None` for the complemented forms (whose members are "the rest of
+    /// the universe").
+    pub fn members(&self) -> Option<impl Iterator<Item = SymbolId> + '_> {
+        let (set, except) = match self {
+            SymFilter::In(set) => (set, None),
+            SymFilter::InExcept(class, except) => (class, Some(except)),
+            SymFilter::Any | SymFilter::NotIn(_) => return None,
+        };
+        Some(
+            set.iter()
+                .filter(move |&s| except.is_none_or(|x| !x.contains(s))),
+        )
+    }
+
+    /// How many symbols an `In`/`InExcept` filter matches (`None` for
+    /// the complemented forms). O(1): the exception set of `InExcept` is
+    /// a subset of its class.
+    pub fn member_count(&self) -> Option<usize> {
+        match self {
+            SymFilter::In(set) => Some(set.len()),
+            SymFilter::InExcept(class, except) => Some(class.len() - except.len()),
+            SymFilter::Any | SymFilter::NotIn(_) => None,
+        }
+    }
+
+    /// The one symbol the filter matches, if it is an `In`/`InExcept`
+    /// filter with exactly one member.
+    pub fn single(&self) -> Option<SymbolId> {
+        if self.member_count() != Some(1) {
+            return None;
+        }
+        self.members()?.next()
     }
 
     /// Whether the filter matches at least one symbol of a universe of
@@ -48,10 +163,13 @@ impl SymFilter {
     pub fn is_satisfiable(&self, n_symbols: u32) -> bool {
         match self {
             SymFilter::Any => n_symbols > 0,
-            SymFilter::In(set) => set.iter().any(|s| s.0 < n_symbols),
             SymFilter::NotIn(set) => {
-                (set.iter().filter(|s| s.0 < n_symbols).count() as u32) < n_symbols
+                (set.iter().take_while(|s| s.0 < n_symbols).count() as u32) < n_symbols
             }
+            _ => self
+                .members()
+                .and_then(|mut m| m.next())
+                .is_some_and(|s| s.0 < n_symbols),
         }
     }
 
@@ -61,29 +179,24 @@ impl SymFilter {
     ///
     /// Used when an accepting path traverses a filter edge: the path must
     /// commit to a concrete symbol to report a concrete stack word.
-    /// Always the minimum, never "any": `In` sets iterate in hash order,
-    /// which varies between set instances, and the query NFA is rebuilt
-    /// per verification — picking the first match would make witness
-    /// headers differ from run to run on the same input.
+    /// Always the minimum, never "any": the query NFA is rebuilt per
+    /// verification, and a witness header must not depend on how a set
+    /// happens to be stored.
     pub fn pick_common(&self, other: &SymFilter, n_symbols: u32) -> Option<SymbolId> {
-        let in_universe = |s: &SymbolId| s.0 < n_symbols;
-        match (self, other) {
-            (SymFilter::In(a), _) => a
-                .iter()
-                .filter(|s| in_universe(s))
-                .filter(|&&s| other.matches(s))
-                .min()
-                .copied(),
-            (_, SymFilter::In(b)) => b
-                .iter()
-                .filter(|s| in_universe(s))
-                .filter(|&&s| self.matches(s))
-                .min()
-                .copied(),
-            _ => (0..n_symbols)
-                .map(SymbolId)
-                .find(|&s| self.matches(s) && other.matches(s)),
+        let first_in = |members: &mut dyn Iterator<Item = SymbolId>, other: &SymFilter| {
+            members
+                .take_while(|s| s.0 < n_symbols)
+                .find(|&s| other.matches(s))
+        };
+        if let Some(mut members) = self.members() {
+            return first_in(&mut members, other);
         }
+        if let Some(mut members) = other.members() {
+            return first_in(&mut members, self);
+        }
+        (0..n_symbols)
+            .map(SymbolId)
+            .find(|&s| self.matches(s) && other.matches(s))
     }
 }
 
@@ -258,6 +371,10 @@ mod tests {
 
     #[test]
     fn filters_match_as_expected() {
+        let class: SymbolSet = [s(1), s(2), s(3)].into_iter().collect();
+        let except = SymFilter::InExcept(class, [s(2)].into_iter().collect());
+        assert!(except.matches(s(1)) && except.matches(s(3)));
+        assert!(!except.matches(s(2)) && !except.matches(s(4)));
         assert!(SymFilter::Any.matches(s(3)));
         assert!(SymFilter::one(s(3)).matches(s(3)));
         assert!(!SymFilter::one(s(3)).matches(s(4)));
@@ -265,6 +382,87 @@ mod tests {
         assert!(not.matches(s(0)));
         assert!(!not.matches(s(1)));
         assert!(!SymFilter::none().matches(s(0)));
+    }
+
+    /// A random subset of `0..n`.
+    fn random_set(rng: &mut detrand::DetRng, n: u32, p: f64) -> SymbolSet {
+        (0..n).filter(|_| rng.gen_bool(p)).map(s).collect()
+    }
+
+    #[test]
+    fn symbol_sets_sort_dedup_and_share() {
+        let set: SymbolSet = [s(5), s(1), s(5), s(3)].into_iter().collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), [s(1), s(3), s(5)]);
+        assert!(set.contains(s(3)) && !set.contains(s(4)));
+        let shared = SymbolSet::from_sorted_ids(Arc::from([1u32, 3, 5]));
+        assert_eq!(shared, set, "equality is by members");
+        assert!(!shared.ptr_eq(&set));
+        assert!(shared.ptr_eq(&shared.clone()), "clones share members");
+    }
+
+    #[test]
+    fn symbolic_forms_agree_with_their_explicit_expansion() {
+        let mut rng = detrand::DetRng::seed_from_u64(0x5e7);
+        for round in 0..200 {
+            let n = rng.gen_range(0..40u32);
+            let class = random_set(&mut rng, n + 5, 0.6);
+            let except: SymbolSet = class.iter().filter(|_| rng.gen_bool(0.3)).collect();
+            let other = random_set(&mut rng, n + 5, 0.5);
+            let forms = [
+                SymFilter::Any,
+                SymFilter::In(class.clone()),
+                SymFilter::NotIn(class.clone()),
+                SymFilter::InExcept(class.clone(), except.clone()),
+            ];
+            for f in &forms {
+                // The explicit set the form stands for, over `0..n`
+                // (members of `class` may lie beyond the universe).
+                let explicit: SymbolSet = (0..n).map(s).filter(|&x| f.matches(x)).collect();
+                let expanded = SymFilter::In(explicit.clone());
+                for x in (0..n + 5).map(s) {
+                    let inside = x.0 < n;
+                    assert_eq!(
+                        f.matches(x) && inside,
+                        expanded.matches(x),
+                        "round {round}: {f:?} at {x:?}"
+                    );
+                }
+                assert_eq!(
+                    f.is_satisfiable(n),
+                    !explicit.is_empty(),
+                    "round {round}: {f:?} over {n}"
+                );
+                for g in [
+                    SymFilter::In(other.clone()),
+                    SymFilter::NotIn(other.clone()),
+                ] {
+                    let want = (0..n).map(s).find(|&x| f.matches(x) && g.matches(x));
+                    assert_eq!(f.pick_common(&g, n), want, "round {round}: {f:?} ∩ {g:?}");
+                    assert_eq!(g.pick_common(f, n), want, "round {round}: {g:?} ∩ {f:?}");
+                }
+                if let Some(count) = f.member_count() {
+                    let members: Vec<SymbolId> = f.members().expect("counted").collect();
+                    assert_eq!(members.len(), count);
+                    assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending");
+                    assert_eq!(f.single(), (count == 1).then(|| members[0]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pick_common_is_the_minimum() {
+        let class: SymbolSet = [s(9), s(2), s(7), s(4)].into_iter().collect();
+        let minus_two = SymFilter::InExcept(class.clone(), [s(2)].into_iter().collect());
+        let not_four = SymFilter::NotIn([s(4)].into_iter().collect());
+        assert_eq!(minus_two.pick_common(&not_four, 10), Some(s(7)));
+        assert_eq!(not_four.pick_common(&minus_two, 10), Some(s(7)));
+        assert_eq!(
+            SymFilter::In(class).pick_common(&SymFilter::Any, 10),
+            Some(s(2))
+        );
+        assert_eq!(minus_two.pick_common(&SymFilter::Any, 7), Some(s(4)));
+        assert_eq!(minus_two.pick_common(&SymFilter::one(s(2)), 10), None);
     }
 
     #[test]

@@ -162,8 +162,9 @@ impl ForwardHeads {
     }
 }
 
-/// Threshold above which an explicit filter set is approximated by
-/// [`SymSet::All`] during seeding.
+/// Threshold above which a filter's member set is approximated by
+/// [`SymSet::All`] during seeding. Complemented filters (`Any`, `NotIn`)
+/// always seed as `All`.
 const FILTER_COLLAPSE: usize = 256;
 
 /// A worklist item: a single freshly-reachable head, or "every head of
@@ -195,12 +196,15 @@ pub fn forward_heads<W: Weight>(pds: &Pds<W>, initial: &PAutomaton<W>) -> Forwar
         match l {
             TLabel::Eps => None,
             TLabel::Sym(g) => Some(SymSet::Set([g].into_iter().collect())),
-            TLabel::Filter(fid) => Some(match initial.filter(fid) {
-                crate::nfa::SymFilter::In(set) if set.len() <= FILTER_COLLAPSE => {
-                    SymSet::Set(set.clone())
-                }
-                _ => SymSet::All,
-            }),
+            TLabel::Filter(fid) => {
+                let filter = initial.filter(fid);
+                Some(match (filter.member_count(), filter.members()) {
+                    (Some(n), Some(members)) if n <= FILTER_COLLAPSE => {
+                        SymSet::Set(members.collect())
+                    }
+                    _ => SymSet::All,
+                })
+            }
         }
     };
 
@@ -467,6 +471,58 @@ mod tests {
         let init = single_init(&pds, st(0), &[a]);
         let heads = forward_heads(&pds, &init);
         assert!(heads.head_reachable(st(2), c));
+    }
+
+    #[test]
+    fn filter_seeds_are_exact_up_to_the_collapse_threshold() {
+        use crate::nfa::{SymFilter, SymbolSet};
+        let n = 2 * FILTER_COLLAPSE as u32 + 8;
+        let pds = Pds::<Unweighted>::new(1, n);
+        // `first_n(k)` shares its members the way a client's class does.
+        let first_n = |k: u32| SymbolSet::from_sorted_ids((0..k).collect());
+        let outside = sym(n - 1);
+        let cap = FILTER_COLLAPSE as u32;
+        let cases = [
+            (SymFilter::In(first_n(cap)), true),
+            (SymFilter::In(first_n(cap + 1)), false),
+            (
+                SymFilter::InExcept(first_n(cap + 2), [sym(0), sym(1)].into_iter().collect()),
+                true,
+            ),
+            (
+                SymFilter::InExcept(first_n(cap + 2), [sym(0)].into_iter().collect()),
+                false,
+            ),
+            (SymFilter::NotIn(first_n(1)), false),
+            (SymFilter::Any, false),
+        ];
+        for (filter, exact) in cases {
+            let mut init = PAutomaton::new(&pds);
+            let f = init.add_state();
+            init.set_final(f);
+            let fid = init.add_filter(filter.clone());
+            init.add_filter_edge(AutState(0), fid, f, Unweighted);
+            let heads = forward_heads(&pds, &init);
+            let members: Vec<SymbolId> = match filter.members() {
+                Some(m) => m.collect(),
+                None => Vec::new(),
+            };
+            for &g in &members {
+                assert!(heads.head_reachable(st(0), g), "{filter:?} seeds {g:?}");
+            }
+            // An exact seed holds members only; `All` holds everything.
+            assert_eq!(
+                heads.head_reachable(st(0), outside),
+                !exact,
+                "{} members",
+                members.len()
+            );
+            if let SymFilter::InExcept(_, except) = &filter {
+                for g in except.iter() {
+                    assert_eq!(heads.head_reachable(st(0), g), !exact, "excluded {g:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::ast::{Endpoint, LabelAtom, LinkAtom, Query, Regex};
 use crate::linknfa::{LinkNfa, LinkSet};
 use netmodel::{LabelKind, Network};
-use pdaal::{StackNfa, SymFilter, SymbolId};
+use pdaal::{StackNfa, SymFilter, SymbolId, SymbolSet};
 use std::collections::HashSet;
 
 // ---- Thompson construction -------------------------------------------------
@@ -142,35 +142,37 @@ impl<T> Thompson<T> {
 
 // ---- label regex → StackNfa -------------------------------------------------
 
+/// The shared class of every label of kind `k` on `net` (built once per
+/// label table, then reference-counted).
+fn kind_class(net: &Network, k: LabelKind) -> SymbolSet {
+    SymbolSet::from_sorted_ids(net.labels.kind_ids(k))
+}
+
 /// Resolve a label atom to the symbol filter it matches on `net`
 /// (unknown names match nothing). Shared with the `dplint` query lints.
+///
+/// Kind atoms (`ip`, `mpls`, `smpls`) resolve to the network's shared
+/// kind class, so no label set is copied per query.
 pub fn resolve_label_atom(atom: &LabelAtom, net: &Network) -> SymFilter {
     let to_sym = |id: netmodel::LabelId| SymbolId(id.0);
+    let named = |names: &[String]| -> SymbolSet {
+        names
+            .iter()
+            .filter_map(|n| net.labels.get(n))
+            .map(to_sym)
+            .collect()
+    };
     match atom {
         LabelAtom::Any => SymFilter::Any,
-        LabelAtom::Ip => SymFilter::In(net.labels.of_kind(LabelKind::Ip).map(to_sym).collect()),
-        LabelAtom::Mpls => SymFilter::In(net.labels.of_kind(LabelKind::Mpls).map(to_sym).collect()),
-        LabelAtom::Smpls => {
-            SymFilter::In(net.labels.of_kind(LabelKind::MplsBos).map(to_sym).collect())
-        }
+        LabelAtom::Ip => SymFilter::In(kind_class(net, LabelKind::Ip)),
+        LabelAtom::Mpls => SymFilter::In(kind_class(net, LabelKind::Mpls)),
+        LabelAtom::Smpls => SymFilter::In(kind_class(net, LabelKind::MplsBos)),
         LabelAtom::Lit(name) => match net.labels.get(name) {
             Some(id) => SymFilter::one(to_sym(id)),
             None => SymFilter::none(),
         },
-        LabelAtom::Set(names) => SymFilter::In(
-            names
-                .iter()
-                .filter_map(|n| net.labels.get(n))
-                .map(to_sym)
-                .collect(),
-        ),
-        LabelAtom::NotSet(names) => SymFilter::NotIn(
-            names
-                .iter()
-                .filter_map(|n| net.labels.get(n))
-                .map(to_sym)
-                .collect(),
-        ),
+        LabelAtom::Set(names) => SymFilter::In(named(names)),
+        LabelAtom::NotSet(names) => SymFilter::NotIn(named(names)),
     }
 }
 
@@ -282,13 +284,25 @@ pub fn compile_link_regex(r: &Regex<LinkAtom>, net: &Network) -> LinkNfa {
 /// not headers at all; the verification core relies on initial/final
 /// automata only accepting members of `H`.
 pub fn restrict_to_valid_headers(nfa: &StackNfa, net: &Network) -> StackNfa {
-    let to_sym = |id: netmodel::LabelId| SymbolId(id.0);
-    let kind_set =
-        |k: LabelKind| -> HashSet<SymbolId> { net.labels.of_kind(k).map(to_sym).collect() };
-    let mpls = kind_set(LabelKind::Mpls);
-    let bos = kind_set(LabelKind::MplsBos);
-    let ip = kind_set(LabelKind::Ip);
     let kind_of = |s: SymbolId| net.labels.kind(netmodel::LabelId(s.0));
+    let classes = [LabelKind::Mpls, LabelKind::MplsBos, LabelKind::Ip].map(|k| kind_class(net, k));
+    let class = |k: LabelKind| -> &SymbolSet {
+        match k {
+            LabelKind::Mpls => &classes[0],
+            LabelKind::MplsBos => &classes[1],
+            LabelKind::Ip => &classes[2],
+        }
+    };
+    // The members of `set` of kind `k` (a shared class is all or none).
+    let of_kind = |set: &SymbolSet, k: LabelKind| -> SymbolSet {
+        if set.ptr_eq(class(k)) {
+            return set.clone();
+        }
+        if classes.iter().any(|c| set.ptr_eq(c)) {
+            return SymbolSet::empty();
+        }
+        set.iter().filter(|&x| kind_of(x) == k).collect()
+    };
 
     // Kind automaton for `L_IP ∪ L_M* L_M⊥ L_IP`:
     // 0 = start, 1 = inside the MPLS tower, 2 = after the BOS label,
@@ -304,22 +318,28 @@ pub fn restrict_to_valid_headers(nfa: &StackNfa, net: &Network) -> StackNfa {
         (2, LabelKind::Ip, 3),
     ];
 
+    // `f` restricted to kind `k`, kept symbolic: the kind class itself,
+    // the class minus a few excluded labels, or an explicit set.
     let refine = |f: &SymFilter, k: LabelKind| -> Option<SymFilter> {
-        let full = match k {
-            LabelKind::Mpls => &mpls,
-            LabelKind::MplsBos => &bos,
-            LabelKind::Ip => &ip,
+        let full = class(k);
+        let out = match f {
+            SymFilter::Any => SymFilter::In(full.clone()),
+            SymFilter::In(s) => SymFilter::In(of_kind(s, k)),
+            SymFilter::NotIn(s) => {
+                let except = of_kind(s, k);
+                if except.is_empty() {
+                    SymFilter::In(full.clone())
+                } else {
+                    SymFilter::InExcept(full.clone(), except)
+                }
+            }
+            SymFilter::InExcept(c, s) => {
+                let c = of_kind(c, k);
+                let except: SymbolSet = s.iter().filter(|&x| c.contains(x)).collect();
+                SymFilter::InExcept(c, except)
+            }
         };
-        let out: HashSet<SymbolId> = match f {
-            SymFilter::Any => full.clone(),
-            SymFilter::In(s) => s.iter().copied().filter(|&x| kind_of(x) == k).collect(),
-            SymFilter::NotIn(s) => full.iter().copied().filter(|x| !s.contains(x)).collect(),
-        };
-        if out.is_empty() {
-            None
-        } else {
-            Some(SymFilter::In(out))
-        }
+        (out.member_count() != Some(0)).then_some(out)
     };
 
     let n = nfa.num_states();

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! aalwines --topology topo.xml --routing route.xml [--locations loc.json] \
-//!          [--weight "Hops, Failures + 3*Tunnels"] [--no-reduction] [--engine moped] \
+//!          [--weight "Hops, Failures + 3*Tunnels"] [--engine moped] \
 //!          --query '<ip> [.#v0] .* [v3#.] <ip> 0'
 //!
 //! aalwines --isis mapping.txt ...      # ingest per-router IS-IS dumps instead
@@ -34,7 +34,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: aalwines (--demo | --isis mapping.txt | --topology topo.xml --routing route.xml)\n\
          \x20        [--locations loc.json] (--query '<a> b <c> k' ... | --stdin)\n\
-         \x20        [--weight 'expr, expr, ...'] [--engine dual|moped] [--no-reduction]\n\
+         \x20        [--weight 'expr, expr, ...'] [--engine dual|moped]\n\
          \x20        [--deadline-ms N] [--batch-deadline-ms N] [--max-transitions N]\n\
          \x20        [--threads N] [--no-cache] [--cache-size N]\n\
          \x20        [--window N] [--progress-ms N]\n\
@@ -431,9 +431,6 @@ fn main() -> ExitCode {
     let mut opts = VerifyOptions::new();
     if let Some(w) = weights {
         opts = opts.with_weights(w);
-    }
-    if has("--no-reduction") {
-        opts = opts.without_reduction();
     }
     match parse_millis("--deadline-ms") {
         Ok(Some(t)) => opts = opts.with_timeout(t),

@@ -3,10 +3,14 @@
 //! example of Section 3, and engine agreement (Dual vs Moped-baseline vs
 //! weighted).
 
+use aalwines::construction::{build_with, ApproxMode, NetworkPrecomp};
 use aalwines::examples::{paper_network, paper_network_with_map};
 use aalwines::moped::verify_moped;
 use aalwines::{AtomicQuantity, Engine, LinearExpr, Outcome, Verifier, VerifyOptions, WeightSpec};
-use query::parse_query;
+use pdaal::poststar::post_star;
+use pdaal::reduction::reduce;
+use pdaal::{shortest_accepted, Unweighted};
+use query::{compile, parse_query};
 
 fn verify(net: &netmodel::Network, q: &str) -> aalwines::Answer {
     let q = parse_query(q).expect("query parses");
@@ -175,21 +179,33 @@ fn weighted_engine_agrees_on_satisfiability() {
 
 #[test]
 fn reduction_does_not_change_outcomes() {
+    // Both approximations of every paper query: the reduced PDS accepts
+    // a configuration of the query's final language iff the unreduced
+    // one does, and the reductions bite on every over-approximation.
     let net = paper_network();
+    let pre = NetworkPrecomp::new(&net);
     for q in [PHI0, PHI1, PHI2, PHI3, PHI4] {
-        let parsed = parse_query(q).unwrap();
-        let with = Verifier::new(&net).verify(&parsed, &VerifyOptions::default());
-        let without =
-            Verifier::new(&net).verify(&parsed, &VerifyOptions::new().without_reduction());
-        assert_eq!(
-            with.outcome.is_satisfied(),
-            without.outcome.is_satisfied(),
-            "reduction changed outcome of {q}"
-        );
-        assert!(
-            with.stats.rules_removed > 0 || with.stats.rules_over == 0,
-            "reductions should bite on {q}"
-        );
+        let cq = compile(&parse_query(q).unwrap(), &net);
+        for mode in [ApproxMode::Over, ApproxMode::Under] {
+            let cons = build_with(&pre, &cq, mode, &|_| Unweighted);
+            let (reduced, n) = reduce(&cons.pds, &cons.initial, &cons.finals);
+            if mode == ApproxMode::Over {
+                assert!(
+                    n > 0 || cons.pds.num_rules() == 0,
+                    "reductions should bite on {q}"
+                );
+            }
+            let starts: Vec<_> = cons.finals.iter().map(|s| (*s, Unweighted)).collect();
+            let accepts = |pds| {
+                let sat = post_star(pds, &cons.initial);
+                shortest_accepted(&sat, &starts, &cq.final_).is_some()
+            };
+            assert_eq!(
+                accepts(&cons.pds),
+                accepts(&reduced),
+                "reduction changed the {mode:?} outcome of {q}"
+            );
+        }
     }
 }
 
