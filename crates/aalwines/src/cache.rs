@@ -27,85 +27,16 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Default number of answers a `Verifier`'s cache holds.
 pub const DEFAULT_CACHE_SIZE: usize = 64;
 
-/// A compact set of link ids — the part of the network an answer depends
-/// on, and the part of the network a dataplane delta touches.
+/// The set of links an answer depends on, and the set a dataplane delta
+/// touches.
 ///
 /// The PDS construction reads the routing table only through the keys of
 /// links its state exploration visits (every start link of the query's
 /// path automaton plus every link reachable from them within the failure
 /// budget), so the visited-link set is a sound dependency footprint: a
 /// delta to the rules of any *other* link cannot change the pushdown
-/// system, hence not its saturation, hence not the answer. Represented
-/// as a bitset over dense link ids.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Footprint {
-    bits: Vec<u64>,
-}
-
-impl Footprint {
-    /// An empty footprint (depends on no link; a delta never hits it).
-    pub fn new() -> Self {
-        Footprint::default()
-    }
-
-    /// A footprint over the given links.
-    pub fn from_links<I: IntoIterator<Item = LinkId>>(links: I) -> Self {
-        let mut fp = Footprint::new();
-        for l in links {
-            fp.insert(l);
-        }
-        fp
-    }
-
-    /// Add a link.
-    pub fn insert(&mut self, link: LinkId) {
-        let (word, bit) = (link.index() / 64, link.index() % 64);
-        if self.bits.len() <= word {
-            self.bits.resize(word + 1, 0);
-        }
-        self.bits[word] |= 1u64 << bit;
-    }
-
-    /// Add every link of `other`.
-    pub fn union_with(&mut self, other: &Footprint) {
-        if self.bits.len() < other.bits.len() {
-            self.bits.resize(other.bits.len(), 0);
-        }
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-        }
-    }
-
-    /// Whether `link` is in the footprint.
-    pub fn contains(&self, link: LinkId) -> bool {
-        let (word, bit) = (link.index() / 64, link.index() % 64);
-        self.bits.get(word).is_some_and(|w| w & (1u64 << bit) != 0)
-    }
-
-    /// Whether the two footprints share any link.
-    pub fn intersects(&self, other: &Footprint) -> bool {
-        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
-    }
-
-    /// Number of links in the footprint.
-    pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the footprint is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|w| *w == 0)
-    }
-
-    /// The links in the footprint, in id order.
-    pub fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| LinkId((wi * 64 + b) as u32))
-        })
-    }
-}
+/// system, hence not its saturation, hence not the answer.
+pub use netmodel::Footprint;
 
 /// What [`AnswerCache::invalidate_intersecting`] did: how many entries a
 /// delta evicted and how many stayed warm.
@@ -177,7 +108,7 @@ fn entry_bytes((query, weights): &CacheKey, entry: &Entry) -> usize {
     for expr in weights.iter().flat_map(|spec| &spec.exprs) {
         bytes += size_of_val(expr) + size_of_val(expr.terms.as_slice());
     }
-    bytes += size_of_val(entry.footprint.bits.as_slice());
+    bytes += entry.footprint.bytes_resident();
     if let Outcome::Satisfied(w) = &entry.answer.outcome {
         bytes += size_of_val(&**w) + w.failed_links.len() * size_of::<LinkId>();
         bytes += w.weight.as_ref().map_or(0, |v| size_of_val(v.as_slice()));

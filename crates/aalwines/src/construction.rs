@@ -87,14 +87,6 @@ pub struct Construction<W: Weight> {
 }
 
 impl<W: Weight> Construction<W> {
-    /// The link a real state sits on.
-    pub fn state_link(&self, s: StateId) -> Option<LinkId> {
-        match self.meta.get(s.index()) {
-            Some(StateMeta::Real { link, .. }) => Some(*link),
-            _ => None,
-        }
-    }
-
     /// The link-dependency footprint of this construction: every link a
     /// real control state sits on — exactly the links whose routing keys
     /// [`build_with`]'s state exploration read. A dataplane delta that

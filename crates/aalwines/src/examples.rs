@@ -10,6 +10,18 @@ pub struct PaperNetworkMap {
     pub links: [LinkId; 8],
 }
 
+/// The paper's six running-example queries over [`paper_network`]
+/// (Figure 1d / Table 1): φ0…φ4, then the reverse pair `v3 → v0`,
+/// which no rule routes. φ3 and the reverse pair are unsatisfied.
+pub const PAPER_QUERIES: [&str; 6] = [
+    "<ip> [.#v0] .* [v3#.] <ip> 0",
+    "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
+    "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
+    "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
+    "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
+    "<ip> [.#v3] .* [v0#.] <ip> 2",
+];
+
 /// The running example of the paper (Figure 1): five routers `v0…v4`
 /// plus two external stub routers terminating the ingress link `e0` and
 /// egress link `e7`.

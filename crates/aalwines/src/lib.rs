@@ -76,7 +76,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod construction;
 pub mod engine;
@@ -88,7 +87,6 @@ pub mod session;
 pub mod stream;
 pub mod telemetry;
 
-pub use batch::BatchOptions;
 pub use cache::{AnswerCache, CacheKey, Footprint, InvalidationReport, DEFAULT_CACHE_SIZE};
 pub use construction::NetworkPrecomp;
 pub use engine::{

@@ -37,12 +37,11 @@
 //! *on the trace*, every one of which is a visited control state. So
 //! retaining the cached answer is not a heuristic, it is exact.
 
-use crate::batch::{run_batch, BatchOptions};
 use crate::cache::{AnswerCache, Footprint};
 use crate::construction::NetworkPrecomp;
 use crate::engine::{Answer, Engine, EngineStats, Verifier, VerifyOptions};
 use crate::moped::MopedEngine;
-use crate::stream::{run_stream, StreamEvent, StreamOptions, StreamSummary};
+use crate::stream::{run_stream, RunBudget, StreamEvent, StreamOptions, StreamSummary};
 use crate::telemetry::JsonObject;
 use dplint::{LintDelta, LintFinding, LintReport, LintState, RestoredRule};
 use netmodel::{LabelId, LinkId, Network, RoutingEntry};
@@ -298,7 +297,8 @@ impl DeltaReport {
 pub struct SessionStats {
     /// Engine backend name ("dual" / "moped").
     pub backend: &'static str,
-    /// Worker threads used by [`Session::verify_batch`].
+    /// Worker threads of [`Session::verify_batch`] and
+    /// [`Session::verify_stream`].
     pub threads: usize,
     /// Queries answered since the session opened (single + batch).
     pub queries: usize,
@@ -400,8 +400,8 @@ impl SessionBuilder {
         Self::default()
     }
 
-    /// Worker threads for [`Session::verify_batch`] (0 or 1 runs
-    /// inline).
+    /// Worker threads for [`Session::verify_batch`] and
+    /// [`Session::verify_stream`] (0 or 1 runs inline).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -415,14 +415,15 @@ impl SessionBuilder {
     }
 
     /// Poll `cancel` during every verification (and between the queries
-    /// of a [`Session::verify_batch`] run).
+    /// of a batch or stream run).
     pub fn cancel(mut self, cancel: CancelToken) -> Self {
         self.opts = self.opts.with_cancel(cancel);
         self
     }
 
-    /// Give each [`Session::verify_batch`] call this much wall-clock
-    /// time for the whole batch (measured from the start of that call);
+    /// Give each [`Session::verify_batch`] or [`Session::verify_stream`]
+    /// call this much wall-clock time as a whole (measured from the
+    /// start of that call);
     /// queries whose turn comes after it expires answer `Aborted`
     /// without running.
     pub fn batch_timeout(mut self, timeout: Duration) -> Self {
@@ -581,27 +582,17 @@ impl Session {
     }
 
     /// Verify a batch of queries (exactly one answer per query, in
-    /// order) using the session's worker threads.
+    /// order) using the session's worker threads: a collect over the
+    /// same driver as [`Session::verify_stream`].
     pub fn verify_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        self.queries.fetch_add(queries.len(), Ordering::Relaxed);
-        let batch = self.batch_options();
-        self.with_engine(|e| run_batch(e, queries, &self.opts, &batch))
-    }
-
-    /// Whole-run options for a batch or stream starting now: the
-    /// session's worker threads, its batch timeout counted from this
-    /// call, and its cancel token.
-    fn batch_options(&self) -> BatchOptions {
-        let mut batch = BatchOptions::new().with_threads(self.threads);
-        if let Some(timeout) = self.batch_timeout {
-            batch = batch.with_timeout(timeout);
-        }
-        // Fold the session's cancel token into the batch budget so
-        // cancellation also skips queries that have not started yet.
-        if let Some(cancel) = &self.opts.cancel {
-            batch = batch.with_cancel(cancel.clone());
-        }
-        batch
+        let mut answers = Vec::with_capacity(queries.len());
+        let parsed = queries.iter().map(|q| (String::new(), Ok(q.clone())));
+        self.run(parsed, &StreamOptions::new(), &mut |ev| {
+            if let StreamEvent::Answer { answer, .. } = ev {
+                answers.push(answer.clone());
+            }
+        });
+        answers
     }
 
     /// Stream query texts through parse → verify → emit with bounded
@@ -627,10 +618,36 @@ impl Session {
     where
         I: Iterator<Item = String> + Send,
     {
-        let batch = self.batch_options();
+        // Lazy: each line is parsed as the driver pulls it.
+        let parsed = lines.map(|text| {
+            let q = parse_query(&text).map_err(|e| e.to_string());
+            (text, q)
+        });
+        self.run(parsed, stream, emit)
+    }
+
+    /// The one multi-query path: run `queries` through the driver under
+    /// the session's worker threads, per-query options, batch timeout
+    /// (counted from this call) and cancel token.
+    fn run<I>(
+        &self,
+        queries: I,
+        stream: &StreamOptions,
+        emit: &mut dyn FnMut(StreamEvent<'_>),
+    ) -> StreamSummary
+    where
+        I: Iterator<Item = (String, Result<Query, String>)> + Send,
+    {
+        let budget = RunBudget {
+            threads: self.threads,
+            deadline: self.batch_timeout.map(|t| Instant::now() + t),
+            // The session's cancel token also skips queries that have
+            // not started yet.
+            cancel: self.opts.cancel.clone(),
+        };
         let bytes = || self.net.bytes_resident() + self.bytes_resident();
         let summary =
-            self.with_engine(|e| run_stream(e, lines, &self.opts, &batch, stream, &bytes, emit));
+            self.with_engine(|e| run_stream(e, queries, &self.opts, &budget, stream, &bytes, emit));
         self.queries
             .fetch_add(summary.batch.total, Ordering::Relaxed);
         summary
@@ -940,16 +957,12 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::examples::paper_network;
+    use crate::examples::{paper_network, PAPER_QUERIES};
     use crate::Outcome;
     use netmodel::Op;
 
-    fn demo_queries() -> Vec<&'static str> {
-        vec![
-            "<ip> [.#v0] .* [v3#.] <ip> 0",
-            "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
-            "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
-        ]
+    fn demo_queries() -> &'static [&'static str] {
+        &PAPER_QUERIES[..3]
     }
 
     #[test]

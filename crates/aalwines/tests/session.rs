@@ -3,7 +3,7 @@
 //! byte-identical, and incremental post-delta answers must equal cold
 //! re-verification under randomized delta storms.
 
-use aalwines::examples::paper_network_with_map;
+use aalwines::examples::{paper_network_with_map, PAPER_QUERIES};
 use aalwines::lift::trace_pairs;
 use aalwines::{Delta, Engine, Outcome, Session, Verifier, VerifyOptions};
 use detrand::DetRng;
@@ -216,17 +216,10 @@ fn random_delta(net: &Network, rng: &mut DetRng) -> Delta {
 fn incremental_answers_equal_cold_reverification_under_delta_storm() {
     let (net, _map) = paper_network_with_map();
     let mut session = Session::open(net);
-    let queries: Vec<Query> = [
-        "<ip> [.#v0] .* [v3#.] <ip> 0",
-        "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
-        "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
-        "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
-        "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
-        "<ip> [.#v3] .* [v0#.] <ip> 2",
-    ]
-    .iter()
-    .map(|q| parse_query(q).unwrap())
-    .collect();
+    let queries: Vec<Query> = PAPER_QUERIES
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect();
 
     let mut rng = DetRng::seed_from_u64(0xA41);
     let mut applied = 0usize;

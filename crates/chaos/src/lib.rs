@@ -344,21 +344,17 @@ impl ChaosReport {
     }
 }
 
-/// The paper's six running-example queries (Figure 1d / Table 1), the
+/// The paper's six running-example queries
+/// ([`PAPER_QUERIES`](aalwines::examples::PAPER_QUERIES)), parsed: the
 /// default workload for chaos campaigns on
-/// [`paper_network`](aalwines::examples::paper_network).
+/// [`paper_network`](aalwines::examples::paper_network). A unit test
+/// pins all six, so a query that stops parsing fails it instead of
+/// shrinking every campaign.
 pub fn paper_queries() -> Vec<Query> {
-    [
-        "<ip> [.#v0] .* [v3#.] <ip> 0",
-        "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
-        "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
-        "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
-        "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
-        "<ip> [.#v3] .* [v0#.] <ip> 2",
-    ]
-    .iter()
-    .filter_map(|q| parse_query(q).ok())
-    .collect()
+    aalwines::examples::PAPER_QUERIES
+        .iter()
+        .filter_map(|q| parse_query(q).ok())
+        .collect()
 }
 
 /// Check one mutant against one query on both engine sessions (which
@@ -521,6 +517,11 @@ mod tests {
             let b = mutate(&base, kind, &mut DetRng::seed_from_u64(3)).map(|n| flat_rules(&n));
             assert_eq!(a, b, "{} not deterministic", kind.as_str());
         }
+    }
+
+    #[test]
+    fn paper_queries_all_parse() {
+        assert_eq!(paper_queries().len(), 6);
     }
 
     #[test]

@@ -67,31 +67,15 @@
 
 use crate::dataplane::{self, Ctx};
 use crate::report::{LintFinding, LintReport, LintRule};
-use netmodel::{LabelId, LinkId, Network};
+use netmodel::{Footprint, LabelId, LinkId, Network};
 use query::CompiledQuery;
 use std::collections::{HashMap, HashSet};
-
-/// A link bitset sized for `n_links` links.
-fn bits_new(n_links: usize) -> Vec<u64> {
-    vec![0u64; n_links.div_ceil(64).max(1)]
-}
-
-fn bit_set(bits: &mut [u64], link: LinkId) {
-    let i = link.index();
-    if i / 64 < bits.len() {
-        bits[i / 64] |= 1u64 << (i % 64);
-    }
-}
-
-fn bits_intersect(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
-}
 
 /// Cached per-key artifacts: the findings of the flow and priority
 /// passes, the raw loop-graph successors, and the footprint governing
 /// when all three must be recomputed.
 struct KeyArtifacts {
-    footprint: Vec<u64>,
+    footprint: Footprint,
     flow: Vec<LintFinding>,
     prio: Vec<LintFinding>,
     loop_edges: Vec<(LinkId, LabelId)>,
@@ -251,11 +235,6 @@ impl LintState {
         }
     }
 
-    /// Drop all watched-query baselines (the session was reloaded).
-    pub fn clear_watched(&mut self) {
-        self.watched.clear();
-    }
-
     /// Re-lint after `net` was mutated according to `delta`: invalidate
     /// exactly the footprint-intersecting keys, recompute them with the
     /// cold pass's own per-key functions, reassemble the report, and
@@ -266,23 +245,23 @@ impl LintState {
 
         // 1. Reduce the delta to the set of links whose keyed rules
         //    changed, and keep the DP017 bookkeeping current.
-        let mut touched = bits_new(ctx.n_links);
+        let mut touched = Footprint::new();
         match delta {
             LintDelta::RuleChange { link, label } => {
-                bit_set(&mut touched, *link);
+                touched.insert(*link);
                 for keys in self.meanwhile.values_mut() {
                     keys.insert((*link, *label));
                 }
             }
             LintDelta::LinkDown { link, touched: t } => {
                 for &l in t {
-                    bit_set(&mut touched, l);
+                    touched.insert(l);
                 }
                 self.meanwhile.entry(*link).or_default();
             }
             LintDelta::LinkUp { link, restored } => {
                 for r in restored {
-                    bit_set(&mut touched, r.link);
+                    touched.insert(r.link);
                 }
                 let meanwhile = self.meanwhile.remove(link).unwrap_or_default();
                 for r in restored {
@@ -313,7 +292,7 @@ impl LintState {
         // 2. Invalidate: drop keys that no longer exist, and cached
         //    keys whose footprint intersects the touched links.
         self.artifacts.retain(|key, art| {
-            if !ctx.key_set.contains(key) || bits_intersect(&art.footprint, &touched) {
+            if !ctx.key_set.contains(key) || art.footprint.intersects(&touched) {
                 outcome.invalidated += 1;
                 false
             } else {
@@ -421,15 +400,14 @@ impl LintState {
 /// Run the shared per-key analyses and derive the footprint.
 fn compute_key(ctx: &Ctx, key: (LinkId, LabelId)) -> KeyArtifacts {
     let (in_link, label) = key;
-    let mut footprint = bits_new(ctx.n_links);
-    bit_set(&mut footprint, in_link);
+    let mut footprint = Footprint::from_links([in_link]);
     for group in ctx.net.groups(in_link, label) {
         for entry in group {
             if !ctx.entry_sane(in_link, label, entry) {
                 continue;
             }
             for &l in ctx.net.topology.links_into(ctx.net.topology.dst(entry.out)) {
-                bit_set(&mut footprint, l);
+                footprint.insert(l);
             }
         }
     }

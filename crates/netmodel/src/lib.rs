@@ -35,5 +35,5 @@ pub use routing::{
     IssueKind, Network, Op, OpSeq, RepairReport, RoutingEntry, Severity, TeGroup, ValidationIssue,
 };
 pub use sim::{feasible_failures, successors};
-pub use topology::{LinkId, RouterId, Topology};
+pub use topology::{Footprint, LinkId, RouterId, Topology};
 pub use trace::{Trace, TraceStep};

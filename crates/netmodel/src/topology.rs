@@ -33,6 +33,93 @@ impl LinkId {
     }
 }
 
+/// A compact set of link ids: a bitset over dense link ids that grows
+/// to the highest id inserted. Answers and lint artifacts record the
+/// links they depend on as one, and a dataplane delta records the links
+/// it touches; the two intersect exactly when the delta may change the
+/// dependent result. The bit operations are `#[inline]` because the
+/// engine and the linter call them per state and per routing key from
+/// other crates.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    bits: Vec<u64>,
+}
+
+impl Footprint {
+    /// An empty footprint (depends on no link; a delta never hits it).
+    pub fn new() -> Self {
+        Footprint::default()
+    }
+
+    /// A footprint over the given links.
+    pub fn from_links<I: IntoIterator<Item = LinkId>>(links: I) -> Self {
+        let mut fp = Footprint::new();
+        for l in links {
+            fp.insert(l);
+        }
+        fp
+    }
+
+    /// Add a link.
+    #[inline]
+    pub fn insert(&mut self, link: LinkId) {
+        let (word, bit) = (link.index() / 64, link.index() % 64);
+        if self.bits.len() <= word {
+            self.bits.resize(word + 1, 0);
+        }
+        self.bits[word] |= 1u64 << bit;
+    }
+
+    /// Add every link of `other`.
+    #[inline]
+    pub fn union_with(&mut self, other: &Footprint) {
+        if self.bits.len() < other.bits.len() {
+            self.bits.resize(other.bits.len(), 0);
+        }
+        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+            *a |= b;
+        }
+    }
+
+    /// Whether `link` is in the footprint.
+    #[inline]
+    pub fn contains(&self, link: LinkId) -> bool {
+        let (word, bit) = (link.index() / 64, link.index() % 64);
+        self.bits.get(word).is_some_and(|w| w & (1u64 << bit) != 0)
+    }
+
+    /// Whether the two footprints share any link.
+    #[inline]
+    pub fn intersects(&self, other: &Footprint) -> bool {
+        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
+    }
+
+    /// Number of links in the footprint.
+    pub fn len(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the footprint is empty.
+    pub fn is_empty(&self) -> bool {
+        self.bits.iter().all(|w| *w == 0)
+    }
+
+    /// Heap bytes of the bitset words (from the length, not the
+    /// capacity, so the figure repeats across processes).
+    pub fn bytes_resident(&self) -> usize {
+        std::mem::size_of_val(self.bits.as_slice())
+    }
+
+    /// The links in the footprint, in id order.
+    pub fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.bits.iter().enumerate().flat_map(|(wi, w)| {
+            (0..64)
+                .filter(move |b| w & (1u64 << b) != 0)
+                .map(move |b| LinkId((wi * 64 + b) as u32))
+        })
+    }
+}
+
 /// A router record.
 #[derive(Clone, Debug)]
 pub struct Router {

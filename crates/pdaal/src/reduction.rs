@@ -145,7 +145,6 @@ const BELOW_CAP: usize = 128;
 /// product.
 pub struct ForwardHeads {
     tos: Vec<SymSet>,
-    below: Vec<SymSet>,
 }
 
 impl ForwardHeads {
@@ -153,12 +152,6 @@ impl ForwardHeads {
     /// of the stack while in `state`).
     pub fn head_reachable(&self, s: StateId, g: SymbolId) -> bool {
         self.tos[s.index()].contains(g)
-    }
-
-    /// Whether `sym` may occur anywhere strictly below the top of stack
-    /// while in `state` (the auxiliary fact driving pop handling).
-    pub fn below_possible(&self, s: StateId, g: SymbolId) -> bool {
-        self.below[s.index()].contains(g)
     }
 }
 
@@ -355,7 +348,7 @@ pub fn forward_heads<W: Weight>(pds: &Pds<W>, initial: &PAutomaton<W>) -> Forwar
         }
     }
 
-    ForwardHeads { tos, below }
+    ForwardHeads { tos }
 }
 
 /// Control states that can reach some state in `accepting` in the rule

@@ -187,16 +187,6 @@ pub fn shortest_accepted_budgeted<W: Weight>(
     }))
 }
 
-/// Convenience wrapper: is any configuration `<p ∈ starts, w ∈ L(nfa)>`
-/// accepted at all?
-pub fn is_accepted<W: Weight>(
-    aut: &PAutomaton<W>,
-    starts: &[(StateId, W)],
-    nfa: &StackNfa,
-) -> bool {
-    shortest_accepted(aut, starts, nfa).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -202,11 +202,6 @@ impl<'a> P<'a> {
     }
 }
 
-/// Parse a GML document into its top-level key/value pairs.
-pub fn parse_gml(doc: &str) -> Result<Vec<(String, GmlValue)>, GmlError> {
-    parse_gml_bytes(doc.as_bytes())
-}
-
 /// Parse a GML document from raw bytes — e.g. a file read straight off
 /// disk without a UTF-8 validity check.
 ///

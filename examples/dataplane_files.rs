@@ -9,7 +9,7 @@
 //! This is the round trip an operator pipeline performs: dataplane
 //! snapshot → files → verification backend.
 
-use aalwines::examples::paper_network;
+use aalwines::examples::{paper_network, PAPER_QUERIES};
 use aalwines::{Engine, Outcome, Verifier, VerifyOptions};
 use formats::{
     parse_locations, parse_routes, parse_topology, write_locations, write_routes, write_topology,
@@ -61,11 +61,7 @@ fn main() {
 
     // ---- verify the reloaded data plane ---------------------------------
     let verifier = Verifier::new(&reloaded);
-    for text in [
-        "<ip> [.#v0] .* [v3#.] <ip> 0",
-        "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
-        "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
-    ] {
+    for text in [PAPER_QUERIES[0], PAPER_QUERIES[2], PAPER_QUERIES[3]] {
         let q = parse_query(text).unwrap();
         let verdict = match verifier.verify(&q, &VerifyOptions::default()).outcome {
             Outcome::Satisfied(_) => "satisfied",

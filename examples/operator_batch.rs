@@ -6,7 +6,8 @@
 //! Unlike a collect-then-report batch, the stream holds at most
 //! `window` queries in flight however long the suite is, emits each
 //! answer in input order as it completes, and ticks progress telemetry
-//! while running — the same driver `aalwines --stdin` uses.
+//! while running — the same driver every `aalwines` verification run
+//! uses.
 //!
 //! ```text
 //! cargo run --release --example operator_batch [-- <threads>]

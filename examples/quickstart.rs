@@ -9,7 +9,7 @@
 //! ending with the Section-3 minimum-witness query that prefers the
 //! tunnel-free service path σ₃ over the failover path σ₂.
 
-use aalwines::examples::paper_network;
+use aalwines::examples::{paper_network, PAPER_QUERIES};
 use aalwines::{AtomicQuantity, Engine, LinearExpr, Outcome, Verifier, VerifyOptions, WeightSpec};
 use query::parse_query;
 
@@ -22,19 +22,12 @@ fn main() {
         net.num_rules()
     );
 
-    let queries = [
-        ("φ0", "<ip> [.#v0] .* [v3#.] <ip> 0"),
-        ("φ1", "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2"),
-        ("φ2", "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0"),
-        ("φ3", "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1"),
-        ("φ4", "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1"),
-    ];
-
+    // φ0…φ4 of Figure 1d.
     let verifier = Verifier::new(&net);
-    for (name, text) in queries {
+    for (i, text) in PAPER_QUERIES[..5].iter().enumerate() {
         let q = parse_query(text).expect("query parses");
         let answer = verifier.verify(&q, &VerifyOptions::default());
-        print!("{name} = {text}\n  → ");
+        print!("φ{i} = {text}\n  → ");
         match answer.outcome {
             Outcome::Satisfied(w) => {
                 println!("SATISFIED");
@@ -64,7 +57,7 @@ fn main() {
         LinearExpr::atom(AtomicQuantity::Hops),
         LinearExpr::atom(AtomicQuantity::Failures).plus(3, AtomicQuantity::Tunnels),
     ]);
-    let q = parse_query(queries[4].1).unwrap();
+    let q = parse_query(PAPER_QUERIES[4]).unwrap();
     let answer = verifier.verify(&q, &VerifyOptions::new().with_weights(spec.clone()));
     match answer.outcome {
         Outcome::Satisfied(w) => {

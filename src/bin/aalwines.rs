@@ -18,6 +18,7 @@
 //! 1: usage or input error. With `--lint`/`--lint-json`: 0 clean,
 //! 2 warnings only, 1 at least one error.
 
+use aalwines::examples::PAPER_QUERIES;
 use aalwines::telemetry::envelope;
 use aalwines::{
     Answer, Backend, BatchSummary, Outcome, SessionBuilder, StreamEvent, StreamOptions,
@@ -47,17 +48,6 @@ fn usage() -> ! {
     );
     std::process::exit(1)
 }
-
-/// The paper's six running-example queries, used as the default workload
-/// of `--demo`.
-const DEMO_QUERIES: [&str; 6] = [
-    "<ip> [.#v0] .* [v3#.] <ip> 0",
-    "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
-    "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
-    "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
-    "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
-    "<ip> [.#v3] .* [v0#.] <ip> 2",
-];
 
 fn report(net: &Network, text: &str, answer: &Answer, show_stats: bool) -> bool {
     let conclusive = match &answer.outcome {
@@ -285,18 +275,12 @@ fn main() -> ExitCode {
         let mut lint_queries = Vec::new();
         let mut texts = values("--query");
         if has("--stdin") {
-            for line in std::io::stdin().lock().lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("cannot read stdin: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let line = line.trim();
-                if !line.is_empty() && !line.starts_with('#') {
-                    texts.push(line.to_string());
-                }
+            let io_error = Arc::new(Mutex::new(None));
+            texts.extend(stdin_queries(Arc::clone(&io_error)));
+            let read_error = io_error.lock().unwrap().take();
+            if let Some(e) = read_error {
+                eprintln!("cannot read stdin: {e}");
+                return ExitCode::FAILURE;
             }
         }
         for text in &texts {
@@ -486,155 +470,121 @@ fn main() -> ExitCode {
         }
     }
 
-    // ---- streaming mode (--stdin) -----------------------------------------
-    // Queries stream straight off stdin through the bounded-window
-    // driver: nothing buffers the whole input or the whole answer set,
-    // a malformed line yields a per-query error answer instead of
-    // aborting the run, and answers print in input order as they
-    // complete. `--window` bounds in-flight queries; `--progress-ms`
-    // emits live telemetry envelopes on stderr.
-    if has("--stdin") {
-        let mut stream_opts = StreamOptions::new();
-        if let Some(v) = value("--window") {
-            match v.parse::<usize>() {
-                Ok(n) => stream_opts = stream_opts.with_window(n),
-                Err(_) => {
-                    eprintln!("--window: expected a count, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
+    // ---- verification -----------------------------------------------------
+    // Every run streams its queries through the bounded-window driver:
+    // the `--query` texts (or, for `--demo` with neither `--query` nor
+    // `--stdin`, the paper's six queries), then with `--stdin` one query
+    // per line of stdin. Answers print in input order as they complete;
+    // a malformed stdin line yields a per-query error answer instead of
+    // aborting the run. `--window` bounds in-flight queries;
+    // `--progress-ms` emits live telemetry envelopes on stderr.
+    let from_stdin = has("--stdin");
+    let mut texts = values("--query");
+    if !from_stdin {
+        if texts.is_empty() {
+            if !has("--demo") {
+                usage()
             }
+            texts = PAPER_QUERIES.iter().map(|q| q.to_string()).collect();
         }
-        match parse_millis("--progress-ms") {
-            Ok(Some(t)) => stream_opts = stream_opts.with_progress_interval(t),
-            Ok(None) => {}
-            Err(code) => return code,
-        }
-
-        // One resident session owns the network, precomputation, and
-        // cache; every streamed query reuses them.
-        let session = builder.verify_options(opts).open(net);
-        let net = session.network();
-
-        // A read error mid-stream ends the input; remember it so the
-        // run still exits 1 (the feeder thread owns the iterator, hence
-        // the shared slot).
-        let io_error: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let io_slot = Arc::clone(&io_error);
-        let lines = values("--query").into_iter().chain(
-            BufReader::new(std::io::stdin())
-                .lines()
-                .map_while(move |r| match r {
-                    Ok(l) => Some(l),
-                    Err(e) => {
-                        *io_slot.lock().unwrap() = Some(e.to_string());
-                        None
-                    }
-                })
-                .map(|l| l.trim().to_string())
-                .filter(|l| !l.is_empty() && !l.starts_with('#')),
-        );
-
-        let mut all_conclusive = true;
-        let summary = session.verify_stream(lines, &stream_opts, &mut |ev| match ev {
-            StreamEvent::Answer { text, answer, .. } => {
-                if json_output {
-                    println!(
-                        "{}",
-                        envelope(
-                            "answer",
-                            &aalwines_suite::gui::answer_to_json(net, text, answer).to_json()
-                        )
-                    );
-                    all_conclusive &= answer.outcome.is_conclusive();
-                } else {
-                    all_conclusive &= report(net, text, answer, show_stats);
-                }
-            }
-            StreamEvent::Progress(p) => {
-                eprintln!("{}", envelope("stream-progress", &p.to_json()));
-            }
-        });
-        if json_output {
-            println!("{}", envelope("stream-summary", &summary.to_json()));
-        } else if show_stats {
-            print_summary(&summary.batch);
-        }
-        if let Some(e) = io_error.lock().unwrap().take() {
-            eprintln!("cannot read stdin: {e}");
-            return ExitCode::FAILURE;
-        }
-        if summary.parse_errors > 0 {
-            eprintln!(
-                "{} quer{} failed to parse",
-                summary.parse_errors,
-                if summary.parse_errors == 1 {
-                    "y"
-                } else {
-                    "ies"
-                }
-            );
-            return ExitCode::FAILURE;
-        }
-        return if all_conclusive {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(2)
-        };
-    }
-
-    // ---- batch mode (--query ...) -----------------------------------------
-    let mut queries = values("--query");
-    if queries.is_empty() {
-        if has("--demo") {
-            queries = DEMO_QUERIES.iter().map(|q| q.to_string()).collect();
-        } else {
-            usage()
-        }
-    }
-    let mut parsed = Vec::with_capacity(queries.len());
-    for text in &queries {
-        match parse_query(text) {
-            Ok(q) => parsed.push(q),
-            Err(e) => {
+        // A `--query` run checks every text before any answer prints;
+        // next to `--stdin` they stream like stdin lines instead.
+        for text in &texts {
+            if let Err(e) = parse_query(text) {
                 eprintln!("{text}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
+    let mut stream_opts = StreamOptions::new();
+    if let Some(v) = value("--window") {
+        match v.parse::<usize>() {
+            Ok(n) => stream_opts = stream_opts.with_window(n),
+            Err(_) => {
+                eprintln!("--window: expected a count, got {v:?}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    match parse_millis("--progress-ms") {
+        Ok(Some(t)) => stream_opts = stream_opts.with_progress_interval(t),
+        Ok(None) => {}
+        Err(code) => return code,
+    }
 
-    // One resident session owns the network, precomputation, and cache;
-    // every query of the run (and any future interactive follow-ups)
-    // reuses them.
+    // One resident session owns the network, precomputation, and
+    // cache; every query of the run reuses them.
     let session = builder.verify_options(opts).open(net);
     let net = session.network();
 
-    let answers = session.verify_batch(&parsed);
+    // A read error mid-stream ends the input; remember it so the run
+    // still exits 1 (the feeder thread owns the iterator, hence the
+    // shared slot).
+    let io_error = Arc::new(Mutex::new(None));
+    let stdin_lines = from_stdin.then(|| stdin_queries(Arc::clone(&io_error)));
+    let lines = texts.into_iter().chain(stdin_lines.into_iter().flatten());
+
     let mut all_conclusive = true;
-    for (text, answer) in queries.iter().zip(&answers) {
-        if json_output {
-            println!(
-                "{}",
-                envelope(
-                    "answer",
-                    &aalwines_suite::gui::answer_to_json(net, text, answer).to_json()
-                )
-            );
-            all_conclusive &= answer.outcome.is_conclusive();
-        } else {
-            all_conclusive &= report(net, text, answer, show_stats);
+    let summary = session.verify_stream(lines, &stream_opts, &mut |ev| match ev {
+        StreamEvent::Answer { text, answer, .. } => {
+            if json_output {
+                println!(
+                    "{}",
+                    envelope(
+                        "answer",
+                        &aalwines_suite::gui::answer_to_json(net, text, answer).to_json()
+                    )
+                );
+                all_conclusive &= answer.outcome.is_conclusive();
+            } else {
+                all_conclusive &= report(net, text, answer, show_stats);
+            }
         }
-    }
-    let summary = BatchSummary::summarize(&answers);
-    if json_output {
-        println!("{}", envelope("batch-summary", &summary.to_json()));
+        StreamEvent::Progress(p) => {
+            eprintln!("{}", envelope("stream-progress", &p.to_json()));
+        }
+    });
+    if json_output && from_stdin {
+        println!("{}", envelope("stream-summary", &summary.to_json()));
+    } else if json_output {
+        println!("{}", envelope("batch-summary", &summary.batch.to_json()));
     } else if show_stats {
-        print_summary(&summary);
+        print_summary(&summary.batch);
+    }
+    if let Some(e) = io_error.lock().unwrap().take() {
+        eprintln!("cannot read stdin: {e}");
+        return ExitCode::FAILURE;
+    }
+    if summary.parse_errors > 0 {
+        eprintln!(
+            "{} quer{} failed to parse",
+            summary.parse_errors,
+            if summary.parse_errors == 1 {
+                "y"
+            } else {
+                "ies"
+            }
+        );
+        return ExitCode::FAILURE;
     }
     if all_conclusive {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
     }
+}
+
+/// The query lines of stdin: trimmed, with blank lines and `#`
+/// comments skipped. A read error ends the lines and is left in `error`.
+fn stdin_queries(error: Arc<Mutex<Option<String>>>) -> impl Iterator<Item = String> + Send {
+    BufReader::new(std::io::stdin())
+        .lines()
+        .map_while(move |line| {
+            line.map_err(|e| *error.lock().unwrap() = Some(e.to_string()))
+                .ok()
+        })
+        .map(|l| l.trim().to_string())
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
 }
 
 fn print_summary(summary: &BatchSummary) {

@@ -156,13 +156,14 @@ pub fn network_to_json(net: &Network) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aalwines::examples::PAPER_QUERIES;
     use aalwines::{Engine, Verifier, VerifyOptions};
     use query::parse_query;
 
     #[test]
     fn aborted_answer_serializes_reason() {
         let net = aalwines::examples::paper_network();
-        let text = "<ip> [.#v0] .* [v3#.] <ip> 0";
+        let text = PAPER_QUERIES[0];
         let q = parse_query(text).unwrap();
         let opts = VerifyOptions::new().with_transition_budget(0);
         let ans = Verifier::new(&net).verify(&q, &opts);
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn satisfied_answer_serializes_with_trace() {
         let net = aalwines::examples::paper_network();
-        let text = "<ip> [.#v0] .* [v3#.] <ip> 0";
+        let text = PAPER_QUERIES[0];
         let q = parse_query(text).unwrap();
         let ans = Verifier::new(&net).verify(&q, &VerifyOptions::default());
         let v = answer_to_json(&net, text, &ans);
@@ -196,7 +197,7 @@ mod tests {
     #[test]
     fn unsatisfied_answer_has_no_trace() {
         let net = aalwines::examples::paper_network();
-        let text = "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1";
+        let text = PAPER_QUERIES[3];
         let q = parse_query(text).unwrap();
         let ans = Verifier::new(&net).verify(&q, &VerifyOptions::default());
         let v = answer_to_json(&net, text, &ans);

@@ -4,7 +4,7 @@
 //! weighted).
 
 use aalwines::construction::{build_with, ApproxMode, NetworkPrecomp};
-use aalwines::examples::{paper_network, paper_network_with_map};
+use aalwines::examples::{paper_network, paper_network_with_map, PAPER_QUERIES};
 use aalwines::moped::verify_moped;
 use aalwines::{AtomicQuantity, Engine, LinearExpr, Outcome, Verifier, VerifyOptions, WeightSpec};
 use pdaal::poststar::post_star;
@@ -22,11 +22,11 @@ fn verify_weighted(net: &netmodel::Network, q: &str, spec: WeightSpec) -> aalwin
     Verifier::new(net).verify(&q, &VerifyOptions::new().with_weights(spec))
 }
 
-const PHI0: &str = "<ip> [.#v0] .* [v3#.] <ip> 0";
-const PHI1: &str = "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2";
-const PHI2: &str = "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0";
-const PHI3: &str = "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1";
-const PHI4: &str = "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1";
+const PHI0: &str = PAPER_QUERIES[0];
+const PHI1: &str = PAPER_QUERIES[1];
+const PHI2: &str = PAPER_QUERIES[2];
+const PHI3: &str = PAPER_QUERIES[3];
+const PHI4: &str = PAPER_QUERIES[4];
 
 #[test]
 fn phi0_satisfied_without_failures() {
@@ -213,7 +213,7 @@ fn reduction_does_not_change_outcomes() {
 fn unreachable_pair_is_unsatisfied() {
     // No forwarding rules route from v3 back to v0.
     let net = paper_network();
-    let ans = verify(&net, "<ip> [.#v3] .* [v0#.] <ip> 2");
+    let ans = verify(&net, PAPER_QUERIES[5]);
     assert!(matches!(ans.outcome, Outcome::Unsatisfied));
 }
 

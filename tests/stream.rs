@@ -1,21 +1,15 @@
-//! End-to-end coverage of the streaming batch driver: the CLI `--stdin`
-//! path (per-line error isolation, ordering, exit codes), the
-//! bounded-window guarantee on a 100k-query synthetic stream, and a
-//! streamed-vs-batch differential.
+//! End-to-end coverage of the multi-query driver: the CLI `--stdin`
+//! path (per-line error isolation, ordering, exit codes), `--query` and
+//! `--stdin` runs printing the same answers, the bounded-window
+//! guarantee on a 100k-query synthetic stream, and a streamed-vs-batch
+//! differential.
 
+use aalwines::examples::PAPER_QUERIES;
 use aalwines::{Outcome, SessionBuilder, StreamEvent, StreamOptions, Witness};
+use formats::json::Value;
 use query::parse_query;
 use std::io::Write;
 use std::process::{Command, Stdio};
-
-const DEMO_QUERIES: [&str; 6] = [
-    "<ip> [.#v0] .* [v3#.] <ip> 0",
-    "<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
-    "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
-    "<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
-    "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
-    "<ip> [.#v3] .* [v0#.] <ip> 2",
-];
 
 /// Run the `aalwines` binary with `args`, feeding `stdin`; returns
 /// (exit code, stdout, stderr).
@@ -45,7 +39,7 @@ fn run_cli(args: &[&str], stdin: &str) -> (i32, String, String) {
 fn cli_stdin_isolates_bad_lines_and_preserves_order() {
     let stdin = format!(
         "{}\nthis is garbage\n# a comment\n\n{}\nalso ] not a query\n{}\n",
-        DEMO_QUERIES[0], DEMO_QUERIES[5], DEMO_QUERIES[2]
+        PAPER_QUERIES[0], PAPER_QUERIES[5], PAPER_QUERIES[2]
     );
     let (code, stdout, stderr) = run_cli(&["--demo", "--stdin", "--json"], &stdin);
 
@@ -64,11 +58,11 @@ fn cli_stdin_isolates_bad_lines_and_preserves_order() {
         "one answer per non-comment line\n{stdout}"
     );
     let expect = [
-        (DEMO_QUERIES[0], false),
+        (PAPER_QUERIES[0], false),
         ("this is garbage", true),
-        (DEMO_QUERIES[5], false),
+        (PAPER_QUERIES[5], false),
         ("also ] not a query", true),
-        (DEMO_QUERIES[2], false),
+        (PAPER_QUERIES[2], false),
     ];
     for (line, (query, is_error)) in answers.iter().zip(expect) {
         assert!(
@@ -90,9 +84,69 @@ fn cli_stdin_isolates_bad_lines_and_preserves_order() {
 
 #[test]
 fn cli_stdin_all_good_exits_by_conclusiveness() {
-    let stdin = format!("{}\n{}\n", DEMO_QUERIES[0], DEMO_QUERIES[5]);
+    let stdin = format!("{}\n{}\n", PAPER_QUERIES[0], PAPER_QUERIES[5]);
     let (code, stdout, _) = run_cli(&["--demo", "--stdin", "--json"], &stdin);
     assert_eq!(code, 0, "conclusive answers exit 0\n{stdout}");
+}
+
+/// The `answer` payloads of a `--json` run with their `stats` (timing)
+/// removed, plus the kind of the last envelope.
+fn answers_without_stats(stdout: &str) -> (Vec<String>, String) {
+    let mut answers = Vec::new();
+    let mut last_kind = String::new();
+    for line in stdout.lines() {
+        let envelope = formats::json::parse(line).expect("every stdout line is an envelope");
+        last_kind = envelope
+            .get("kind")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string();
+        if last_kind == "answer" {
+            let Some(Value::Object(mut payload)) = envelope.get("payload").cloned() else {
+                panic!("answer payload is an object: {line}");
+            };
+            payload.remove("stats");
+            answers.push(Value::Object(payload).to_json());
+        }
+    }
+    (answers, last_kind)
+}
+
+#[test]
+fn cli_query_and_stdin_runs_print_identical_answers() {
+    // The same six queries, once as the `--demo` default workload and
+    // once piped through `--stdin`, take one path through the driver
+    // and the printer; only the closing summary kind differs.
+    let (code, batch_out, stderr) = run_cli(&["--demo", "--json"], "");
+    assert_eq!(code, 0, "{stderr}");
+    let (stream_code, stream_out, stderr) =
+        run_cli(&["--demo", "--stdin", "--json"], &PAPER_QUERIES.join("\n"));
+    assert_eq!(stream_code, 0, "{stderr}");
+
+    let (batch, batch_kind) = answers_without_stats(&batch_out);
+    let (streamed, stream_kind) = answers_without_stats(&stream_out);
+    assert_eq!(batch.len(), PAPER_QUERIES.len());
+    assert_eq!(batch, streamed);
+    assert_eq!(batch_kind, "batch-summary");
+    assert_eq!(stream_kind, "stream-summary");
+}
+
+#[test]
+fn cli_bad_query_exits_1_before_any_answer() {
+    let (code, stdout, stderr) = run_cli(
+        &[
+            "--demo",
+            "--json",
+            "--query",
+            PAPER_QUERIES[0],
+            "--query",
+            "<ip> [#v0 <ip> 0",
+        ],
+        "",
+    );
+    assert_eq!(code, 1, "a malformed --query is a usage error\n{stderr}");
+    assert!(stdout.is_empty(), "no answer may print: {stdout}");
+    assert!(stderr.contains("<ip> [#v0 <ip> 0: "), "{stderr}");
 }
 
 #[test]
@@ -104,7 +158,7 @@ fn cli_cache_flags_conflict_is_usage_error() {
         &["--demo", "--cache-size", "4", "--no-cache"][..],
     ] {
         let mut with_query = args.to_vec();
-        with_query.extend(["--query", DEMO_QUERIES[0]]);
+        with_query.extend(["--query", PAPER_QUERIES[0]]);
         let (code, _, stderr) = run_cli(&with_query, "");
         assert_eq!(code, 1, "conflict must be a usage error: {args:?}");
         assert!(
@@ -123,7 +177,7 @@ fn bounded_window_on_100k_query_stream() {
     let session = SessionBuilder::new().threads(4).open(net);
     const N: usize = 100_000;
     const WINDOW: usize = 8;
-    let lines = (0..N).map(|i| DEMO_QUERIES[i % DEMO_QUERIES.len()].to_string());
+    let lines = (0..N).map(|i| PAPER_QUERIES[i % PAPER_QUERIES.len()].to_string());
 
     let mut next = 0usize;
     let stream = StreamOptions::new().with_window(WINDOW);
@@ -164,8 +218,9 @@ fn canonical(outcome: &Outcome) -> String {
 
 #[test]
 fn streamed_answers_match_batch_answers() {
-    // 1k-query differential: the streaming driver must answer exactly
-    // what the batch driver answers, query for query, modulo timing.
+    // 1k-query differential: texts streamed (parsed on the feeder
+    // thread) must answer exactly what pre-parsed queries collected by
+    // `verify_batch` answer, query for query, modulo timing.
     let topo = topogen::zoo_like(&topogen::ZooConfig {
         routers: 24,
         avg_degree: 3.0,
