@@ -6,7 +6,7 @@
 //! every forwarding step is summarized by a [`StepMeasure`]; the
 //! specification evaluates the measure to one `u64` per expression, and
 //! the resulting vectors live in the lexicographic
-//! [`MinVector`](pdaal::MinVector) semiring.
+//! [`MinVector`] semiring.
 //!
 //! One deliberate deviation from the paper: `Hops(σ)` is defined there as
 //! the number of *distinct* non-self-loop links, which is not expressible

@@ -180,7 +180,7 @@ impl StreamSummary {
 }
 
 /// The counting gate bounding in-flight queries, with a high-water
-/// mark. `acquire` blocks while `current == limit`.
+/// mark. `acquire` blocks while `current == limit` and the gate is open.
 struct Gate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -190,6 +190,8 @@ struct Gate {
 struct GateState {
     current: usize,
     peak: usize,
+    /// Set once the emitter is gone: no permit will be released again.
+    closed: bool,
 }
 
 impl Gate {
@@ -198,6 +200,7 @@ impl Gate {
             state: Mutex::new(GateState {
                 current: 0,
                 peak: 0,
+                closed: false,
             }),
             cv: Condvar::new(),
             limit,
@@ -210,13 +213,18 @@ impl Gate {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn acquire(&self) {
+    /// Take a permit; `false` once the gate is closed.
+    fn acquire(&self) -> bool {
         let mut st = self.lock();
-        while st.current >= self.limit {
+        while st.current >= self.limit && !st.closed {
             st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        if st.closed {
+            return false;
         }
         st.current += 1;
         st.peak = st.peak.max(st.current);
+        true
     }
 
     fn release(&self) {
@@ -226,12 +234,29 @@ impl Gate {
         self.cv.notify_one();
     }
 
+    /// Wake every waiter and refuse further permits.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
+
     fn current(&self) -> usize {
         self.lock().current
     }
 
     fn peak(&self) -> usize {
         self.lock().peak
+    }
+}
+
+/// Closes the gate when dropped during a panic.
+struct CloseOnUnwind<'a>(&'a Gate);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
     }
 }
 
@@ -426,7 +451,9 @@ where
             let gate_ref = &gate;
             scope.spawn(move || {
                 for (index, (text, parsed)) in queries.enumerate() {
-                    gate_ref.acquire();
+                    if !gate_ref.acquire() {
+                        break;
+                    }
                     let done = match parsed {
                         Ok(q) => match work_tx.send((index, text, q)) {
                             Ok(()) => continue,
@@ -493,7 +520,12 @@ where
 
             // Emitter (this thread): reorder to input order, emit,
             // release permits. The reorder buffer holds only in-flight
-            // answers, so it is bounded by the window.
+            // answers, so it is bounded by the window. If `emit`
+            // panics, the guard closes the gate as the panic unwinds:
+            // a feeder waiting for a permit stops feeding, the work
+            // channel closes, the workers drain, and the scope joins
+            // and re-raises the panic instead of hanging.
+            let _close_on_unwind = CloseOnUnwind(&gate);
             let mut pending: BTreeMap<usize, Done> = BTreeMap::new();
             let mut next_emit = 0usize;
             while let Ok(done) = done_rx.recv() {
@@ -951,6 +983,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn panicking_emit_fails_the_run_instead_of_hanging() {
+        // `emit` panics on the first answer once the feeder has pulled
+        // the query after a full window: that query waits for a permit
+        // only the (now unwinding) emitter would have released.
+        const WINDOW: usize = 4;
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let net = paper_network();
+            let pulled = AtomicUsize::new(0);
+            let queries = (0..64).map(|i| {
+                pulled.fetch_add(1, Ordering::SeqCst);
+                let text = PAPER_QUERIES[i % PAPER_QUERIES.len()];
+                (
+                    text.to_string(),
+                    parse_query(text).map_err(|e| e.to_string()),
+                )
+            });
+            let outcome = quietly(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_stream(
+                        &Verifier::new(&net),
+                        queries,
+                        &VerifyOptions::default(),
+                        &workers(2),
+                        &StreamOptions::new().with_window(WINDOW),
+                        &|| 0,
+                        &mut |_| {
+                            while pulled.load(Ordering::SeqCst) <= WINDOW {
+                                std::thread::yield_now();
+                            }
+                            panic!("emit failed");
+                        },
+                    )
+                }))
+            });
+            let _ = tx.send(outcome.map(drop).map_err(|p| panic_message(p.as_ref())));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a panicking emit must end the run, not hang it");
+        assert_eq!(outcome, Err("emit failed".to_string()));
+        runner.join().expect("the runner catches the run's panic");
     }
 
     #[test]

@@ -244,15 +244,6 @@ impl SummaryBuilder {
 }
 
 impl BatchSummary {
-    /// Aggregate a slice of per-query answers.
-    pub fn summarize(answers: &[Answer]) -> Self {
-        let mut b = SummaryBuilder::new();
-        for a in answers {
-            b.add(a);
-        }
-        b.finish()
-    }
-
     /// Serialize the bare payload as one JSON object (hand-rolled,
     /// serde-free). Callers emitting to an output surface should wrap
     /// it via [`envelope`]`("batch-summary", ..)`.
@@ -311,7 +302,11 @@ mod tests {
             }),
             Answer::aborted(AbortReason::DeadlineExceeded, EngineStats::new()),
         ];
-        let s = BatchSummary::summarize(&answers);
+        let mut b = SummaryBuilder::new();
+        for a in &answers {
+            b.add(a);
+        }
+        let s = b.finish();
         assert_eq!(s.total, 3);
         assert_eq!(s.unsatisfied, 1);
         assert_eq!(s.inconclusive, 1);

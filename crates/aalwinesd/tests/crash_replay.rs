@@ -13,7 +13,7 @@
 use aalwinesd::{Daemon, DaemonConfig, Journal, JournalOp};
 use detrand::DetRng;
 use formats::json::{parse as parse_json, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -136,6 +136,17 @@ fn crash_round(seed: u64) -> usize {
     child.kill().expect("kill -9");
     child.wait().expect("wait");
     let _ = std::fs::remove_file(&socket);
+    // The client's old connection died with the daemon: it drains what
+    // was answered before the kill and then ends; it never stalls.
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let drained = reader.read_to_end(&mut Vec::new());
+    assert!(
+        !matches!(&drained, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "seed {seed}: the killed daemon's connection stayed open"
+    );
     drop(reader);
 
     // ---- what did the journal actually preserve? ---------------------
@@ -181,6 +192,17 @@ fn crash_round(seed: u64) -> usize {
             "seed {seed}: replayed answer for {q} diverged from the cold rebuild"
         );
     }
+    // A reconnected client re-issues its subscription.
+    let resubscribed = roundtrip(
+        &mut reader,
+        &mut writer,
+        &format!(r#"{{"verb":"subscribe","query":"{}"}}"#, PROBES[0]),
+    );
+    assert!(
+        resubscribed.get("answer").is_some(),
+        "seed {seed}: {}",
+        resubscribed.to_json()
+    );
 
     // ---- health must agree the replay was clean ----------------------
     let health = roundtrip(&mut reader, &mut writer, r#"{"verb":"health"}"#);
@@ -194,6 +216,12 @@ fn crash_round(seed: u64) -> usize {
     assert_eq!(
         replay_health.get("records").and_then(Value::as_f64),
         Some(replay.records as f64)
+    );
+    assert_eq!(
+        health.get("journal").and_then(|j| j.get("enabled")),
+        Some(&Value::Bool(true)),
+        "seed {seed}: the restarted daemon must keep journaling: {}",
+        health.to_json()
     );
 
     roundtrip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);

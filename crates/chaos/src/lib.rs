@@ -28,8 +28,7 @@
 //!
 //! Everything is driven by a [`DetRng`] seed, so a failing mutant is
 //! reproducible bit-for-bit from the `(seed, index)` pair in its
-//! violation message. Run the suite with `cargo test -p chaos`, or from
-//! the CLI with `aalwines --demo --chaos-seed 1`.
+//! violation message. Run the suite with `cargo test -p chaos`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

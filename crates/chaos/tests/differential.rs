@@ -247,30 +247,70 @@ fn shared_precomp_matches_fresh_build_on_chaos_mutants() {
     assert!(checked >= 100, "only {checked} mutants checked");
 }
 
+/// The 40-router Zoo-like dataplane with 36 distinct `figure4_queries`
+/// (generated with replacement, so over-generate and deduplicate).
+fn zoo_like_cache_workload() -> (Network, Vec<Query>) {
+    let topo = zoo_like(&ZooConfig {
+        routers: 40,
+        avg_degree: 3.0,
+        seed: 0xBE,
+    });
+    let dp = build_mpls_dataplane(
+        topo,
+        &LspConfig {
+            edge_routers: 8,
+            max_pairs: 56,
+            protect: true,
+            service_chains: 60,
+            seed: 0xBF,
+        },
+    );
+    let mut seen = std::collections::HashSet::new();
+    let queries: Vec<Query> = topogen::queries::figure4_queries(&dp, 96, 0xC1)
+        .into_iter()
+        .filter(|q| seen.insert(q.clone()))
+        .take(36)
+        .map(|q| parse_query(&q).expect("generated queries parse"))
+        .collect();
+    assert_eq!(queries.len(), 36, "too few distinct generated queries");
+    (dp.net, queries)
+}
+
 #[test]
 fn cached_verifier_answers_match_uncached() {
-    let net = paper_network();
-    let mut queries = paper_queries();
-    queries.extend(random_paper_queries(12, 0x5EED_0003));
+    let mut paper_qs = paper_queries();
+    paper_qs.extend(random_paper_queries(12, 0x5EED_0003));
+    let (zoo_net, zoo_qs) = zoo_like_cache_workload();
     let weighted = VerifyOptions::new().with_weights(WeightSpec::single(AtomicQuantity::Hops));
-    for (oi, opts) in [VerifyOptions::new(), weighted].iter().enumerate() {
-        let cached = Verifier::new(&net).with_cache_size(256);
-        let uncached = Verifier::new(&net).without_cache();
-        for (qi, q) in queries.iter().enumerate() {
-            // Twice against the caching engine: the first run populates
-            // the cache, the second is answered from it.
-            let first = cached.verify(q, opts);
-            let second = cached.verify(q, opts);
-            let fresh = uncached.verify(q, opts);
-            assert_eq!(
-                outcome_repr(&first.outcome),
-                outcome_repr(&fresh.outcome),
-                "opts#{oi} q{qi}: cache-miss answer diverges from uncached"
-            );
-            assert_eq!(
-                outcome_repr(&second.outcome),
-                outcome_repr(&fresh.outcome),
-                "opts#{oi} q{qi}: cache-hit answer diverges from uncached"
+    for (what, net, queries) in [
+        ("paper", &paper_network(), &paper_qs),
+        ("zoo", &zoo_net, &zoo_qs),
+    ] {
+        for (oi, opts) in [VerifyOptions::new(), weighted.clone()].iter().enumerate() {
+            let cached = Verifier::new(net).with_cache_size(256);
+            let uncached = Verifier::new(net).without_cache();
+            let mut warm_hits = 0;
+            for (qi, q) in queries.iter().enumerate() {
+                // Twice against the caching engine: the first run
+                // populates the cache, the second is answered from it.
+                let first = cached.verify(q, opts);
+                let second = cached.verify(q, opts);
+                warm_hits += second.stats.cache_hits;
+                let fresh = uncached.verify(q, opts);
+                assert_eq!(
+                    outcome_repr(&first.outcome),
+                    outcome_repr(&fresh.outcome),
+                    "{what} opts#{oi} q{qi}: cache-miss answer diverges from uncached"
+                );
+                assert_eq!(
+                    outcome_repr(&second.outcome),
+                    outcome_repr(&fresh.outcome),
+                    "{what} opts#{oi} q{qi}: cache-hit answer diverges from uncached"
+                );
+            }
+            assert!(
+                warm_hits > 0,
+                "{what} opts#{oi}: warm pass never hit the cache"
             );
         }
     }

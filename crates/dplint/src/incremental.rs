@@ -10,9 +10,9 @@
 //! choices carry the proof:
 //!
 //! 1. The per-key analyses are the *same functions* the cold pass runs
-//!    ([`dataplane::flow_key`], [`dataplane::prio_key`],
-//!    [`dataplane::loop_edges_key`], [`dataplane::loop_findings_from_adj`],
-//!    [`dataplane::well_formedness`]) — there is no reimplementation
+//!    (`dataplane::flow_key`, `dataplane::prio_key`,
+//!    `dataplane::loop_edges_key`, `dataplane::loop_findings_from_adj`,
+//!    `dataplane::well_formedness`) — there is no reimplementation
 //!    that could drift. A cached key's findings equal what the cold
 //!    pass would compute iff nothing the function *consults* changed.
 //! 2. The footprint over-approximates everything a key's analyses

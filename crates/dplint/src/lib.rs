@@ -3,7 +3,7 @@
 //! AalWiNes answers what-if queries by compiling network × query into a
 //! weighted pushdown system, but many operator mistakes are statically
 //! decidable from the routing tables alone. This crate is the
-//! "compiler warnings" pass over a [`Network`](netmodel::Network) and
+//! "compiler warnings" pass over a [`Network`] and
 //! its queries: a set of flow- and priority-aware analyses producing
 //! typed [`LintFinding`]s with stable codes (`DP…` for dataplane rules,
 //! `QL…` for query lints).

@@ -1,7 +1,7 @@
 //! P-automata: weighted NFAs over stack symbols representing regular sets
 //! of pushdown configurations.
 //!
-//! A configuration `<p, γ₁…γₙ>` of a [`Pds`](crate::Pds) is *accepted* by a
+//! A configuration `<p, γ₁…γₙ>` of a [`Pds`] is *accepted* by a
 //! P-automaton iff the word `γ₁…γₙ` (top of stack first) is accepted when
 //! starting from the automaton state corresponding to control state `p`.
 //! The first `Pds::num_states()` automaton states are identified with the

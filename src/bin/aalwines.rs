@@ -41,7 +41,6 @@ fn usage() -> ! {
          \x20        [--window N] [--progress-ms N]\n\
          \x20        [--stats] [--json] [--repair]\n\
          \x20        [--write-topology out.xml] [--write-routing out.xml]\n\
-         \x20        [--chaos-seed N] [--chaos-mutants M]\n\
          \x20        [--lint | --lint-json]\n\
          \n\
          --demo without --query/--stdin runs the paper's six benchmark queries."
@@ -299,69 +298,6 @@ fn main() -> ExitCode {
             println!("{report}");
         }
         return ExitCode::from(report.exit_code() as u8);
-    }
-
-    // ---- chaos mode -------------------------------------------------------
-    // `--chaos-seed N` runs the fault-injection campaign against this
-    // network instead of verifying queries: seeded mutants, validate/
-    // repair, dual-vs-moped agreement, witness replay. Exit 0 iff no
-    // invariant was violated.
-    if let Some(seed_text) = value("--chaos-seed") {
-        let Ok(seed) = seed_text.parse::<u64>() else {
-            eprintln!("--chaos-seed: expected an integer, got {seed_text:?}");
-            return ExitCode::FAILURE;
-        };
-        let mutants = match value("--chaos-mutants") {
-            None => 100,
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--chaos-mutants: expected a count, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        let mut chaos_queries = Vec::new();
-        for text in values("--query") {
-            match parse_query(&text) {
-                Ok(q) => chaos_queries.push(q),
-                Err(e) => {
-                    eprintln!("{text}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if chaos_queries.is_empty() {
-            chaos_queries = chaos::paper_queries();
-        }
-        let report = chaos::run_chaos(
-            &net,
-            &chaos_queries,
-            &chaos::ChaosOptions::new(seed, mutants),
-        );
-        if has("--json") {
-            println!("{}", envelope("chaos-report", &report.to_json()));
-        } else {
-            println!(
-                "chaos: {} mutants ({} clean, {} repaired, {} rejected), \
-                 {} verifications, {} decided pairs, {} witnesses replayed",
-                report.mutants,
-                report.clean,
-                report.repaired,
-                report.rejected,
-                report.verifications,
-                report.decided_pairs,
-                report.witnesses_replayed
-            );
-            for v in &report.violations {
-                println!("  VIOLATION: {v}");
-            }
-        }
-        return if report.ok() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
     }
 
     // ---- conversion mode (paper Appendix A.1) -------------------------

@@ -6,7 +6,6 @@
 //! overview and `DESIGN.md` for the system inventory.
 
 pub use aalwines;
-pub use chaos;
 pub use formats;
 pub use netmodel;
 pub use pdaal;

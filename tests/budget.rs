@@ -149,7 +149,11 @@ fn stats_json_round_trips_through_the_parser() {
         "aborted key present (null)"
     );
 
-    let summary = aalwines::BatchSummary::summarize(&answers);
+    let mut builder = aalwines::SummaryBuilder::new();
+    for a in &answers {
+        builder.add(a);
+    }
+    let summary = builder.finish();
     let summary_json = summary.to_json();
     let parsed = formats::json::parse(&summary_json).expect("BatchSummary::to_json is valid JSON");
     assert_eq!(

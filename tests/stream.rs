@@ -1,15 +1,16 @@
 //! End-to-end coverage of the multi-query driver: the CLI `--stdin`
-//! path (per-line error isolation, ordering, exit codes), `--query` and
-//! `--stdin` runs printing the same answers, the bounded-window
-//! guarantee on a 100k-query synthetic stream, and a streamed-vs-batch
-//! differential.
+//! path (per-line error isolation, ordering, exit codes, a reader that
+//! closes stdout early), `--query` and `--stdin` runs printing the same
+//! answers, the bounded-window guarantee on a 100k-query synthetic
+//! stream, and a streamed-vs-batch differential.
 
 use aalwines::examples::PAPER_QUERIES;
 use aalwines::{Outcome, SessionBuilder, StreamEvent, StreamOptions, Witness};
 use formats::json::Value;
 use query::parse_query;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Run the `aalwines` binary with `args`, feeding `stdin`; returns
 /// (exit code, stdout, stderr).
@@ -166,6 +167,51 @@ fn cli_cache_flags_conflict_is_usage_error() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn cli_exits_when_stdout_closes_mid_stream() {
+    // `aalwines ... | head -1`: once the reader is gone, printing the
+    // next answer fails while the window is full; the run must end on
+    // its own with a failure status instead of hanging.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aalwines"))
+        .args(["--demo", "--stdin", "--threads", "2", "--window", "4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn aalwines");
+    let mut stdin = child.stdin.take().unwrap();
+    let feeder = std::thread::spawn(move || {
+        for _ in 0..2000 {
+            if writeln!(stdin, "{}", PAPER_QUERIES[0]).is_err() {
+                break; // the CLI exited and closed its end
+            }
+        }
+    });
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read the first answer");
+    assert_eq!(first.trim_end(), PAPER_QUERIES[0]);
+    drop(stdout);
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll aalwines") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("aalwines still running 20 s after its stdout closed");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        !status.success(),
+        "a lost stdout must fail the run: {status}"
+    );
+    feeder.join().unwrap();
 }
 
 #[test]
