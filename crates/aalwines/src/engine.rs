@@ -282,12 +282,9 @@ pub struct EngineStats {
     /// 0 for engines without warm state (e.g. the Moped baseline).
     pub bytes_resident: usize,
     /// Milliseconds spent producing the lint report behind this stats
-    /// object (cold lint build or incremental re-lint). 0 for plain
-    /// verification answers — only `Session::lint` outcomes fill it.
+    /// object. 0 for plain verification answers — only `Session::lint`
+    /// outcomes fill it.
     pub lint_millis: f64,
-    /// Cumulative per-key lint artifacts the owning session reused
-    /// across deltas instead of recomputing. 0 outside lint outcomes.
-    pub lint_incremental_hits: usize,
     /// Time spent building PDSs.
     pub t_construct: Duration,
     /// Time spent in the static reductions.
@@ -404,7 +401,6 @@ impl EngineStats {
         o.number("cacheMisses", self.cache_misses as f64);
         o.number("bytesResident", self.bytes_resident as f64);
         o.number("lintMillis", self.lint_millis);
-        o.number("lintIncrementalHits", self.lint_incremental_hits as f64);
         o.number("constructMillis", telemetry::millis(self.t_construct));
         o.number("reduceMillis", telemetry::millis(self.t_reduce));
         o.number("solveMillis", telemetry::millis(self.t_solve));

@@ -43,10 +43,11 @@ use crate::engine::{Answer, Engine, EngineStats, Verifier, VerifyOptions};
 use crate::moped::MopedEngine;
 use crate::stream::{run_stream, RunBudget, StreamEvent, StreamOptions, StreamSummary};
 use crate::telemetry::JsonObject;
-use dplint::{LintDelta, LintFinding, LintReport, LintState, RestoredRule};
+use dplint::{transition, LintFinding, LintReport};
 use netmodel::{LabelId, LinkId, Network, RoutingEntry};
 use pdaal::budget::CancelToken;
-use query::{parse_query, Query};
+use query::{parse_query, CompiledQuery, Query};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -205,16 +206,12 @@ pub struct ChangedAnswer {
     pub answer: Answer,
 }
 
-/// How the resident lint state reacted to a delta (present only when
+/// How the lint report changed with a delta (present only when
 /// [`Session::lint`] has been called at least once — lint state is
 /// lazy).
 #[derive(Clone, Debug, Default)]
 #[non_exhaustive]
-pub struct LintDeltaReport {
-    /// Cached per-key lint artifacts recomputed for this delta.
-    pub invalidated: usize,
-    /// Cached per-key lint artifacts reused untouched.
-    pub retained: usize,
+pub struct LintUpdate {
     /// Base-report findings that appeared with this delta.
     pub added: Vec<LintFinding>,
     /// Base-report findings that disappeared with this delta.
@@ -223,7 +220,7 @@ pub struct LintDeltaReport {
     pub delta_findings: Vec<LintFinding>,
 }
 
-impl LintDeltaReport {
+impl LintUpdate {
     /// Findings added plus findings removed.
     pub fn changed(&self) -> usize {
         self.added.len() + self.removed.len()
@@ -256,16 +253,16 @@ pub struct DeltaReport {
     pub reverified: usize,
     /// Watched queries whose answer changed, with the new answer.
     pub changed: Vec<ChangedAnswer>,
-    /// How the resident lint state reacted, when it exists (see
+    /// How the lint report changed, when one is resident (see
     /// [`Session::lint`]).
-    pub lint: Option<LintDeltaReport>,
+    pub lint: Option<LintUpdate>,
 }
 
 impl DeltaReport {
     /// Serialize the countable part as one JSON object (the `changed`
     /// answers need network context to render and are serialized by the
-    /// caller). The lint counters are always present — zeros when no
-    /// resident lint state exists — so consumers never branch on key
+    /// caller). The lint counter is always present — zero when no
+    /// lint report is resident — so consumers never branch on key
     /// presence.
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
@@ -280,12 +277,7 @@ impl DeltaReport {
         o.number("reverified", self.reverified as f64);
         o.number("changed", self.changed.len() as f64);
         let lint = self.lint.as_ref();
-        o.number(
-            "lintChanged",
-            lint.map_or(0, LintDeltaReport::changed) as f64,
-        );
-        o.number("lintInvalidated", lint.map_or(0, |l| l.invalidated) as f64);
-        o.number("lintRetained", lint.map_or(0, |l| l.retained) as f64);
+        o.number("lintChanged", lint.map_or(0, LintUpdate::changed) as f64);
         o.finish()
     }
 }
@@ -325,12 +317,9 @@ pub struct SessionStats {
     pub validation_issues: usize,
     /// Routing rules in the current dataplane.
     pub rules: usize,
-    /// Total milliseconds spent linting (cold build plus incremental
-    /// re-lints) since the session opened.
+    /// Total milliseconds spent linting (the first lint plus one
+    /// re-lint per delta) since the session opened.
     pub lint_millis: f64,
-    /// Cumulative per-key lint artifacts reused across deltas instead
-    /// of being recomputed.
-    pub lint_incremental_hits: usize,
 }
 
 impl SessionStats {
@@ -353,7 +342,6 @@ impl SessionStats {
         o.number("validationIssues", self.validation_issues as f64);
         o.number("rules", self.rules as f64);
         o.number("lintMillis", self.lint_millis);
-        o.number("lintIncrementalHits", self.lint_incremental_hits as f64);
         o.finish()
     }
 }
@@ -364,9 +352,8 @@ impl SessionStats {
 pub struct LintOutcome {
     /// The current lint report for the resident dataplane.
     pub report: LintReport,
-    /// Telemetry: `lint_millis` is the cost of *this* call (cold build
-    /// on first use, near-zero afterwards), `lint_incremental_hits` the
-    /// session's cumulative cache-hit counter.
+    /// Telemetry: `lint_millis` is the cost of *this* call (a cold
+    /// lint on first use, near-zero afterwards).
     pub stats: EngineStats,
 }
 
@@ -476,6 +463,7 @@ impl SessionBuilder {
             retained_total: 0,
             shed_total: AtomicUsize::new(0),
             lint: None,
+            lint_relinted: Vec::new(),
             lint_millis: 0.0,
         }
     }
@@ -485,6 +473,16 @@ impl SessionBuilder {
 /// entry)`, exactly as [`Network::entries_over`] reports it.
 type StashedRule = (LinkId, LabelId, usize, RoutingEntry);
 
+/// A link taken down by [`Delta::LinkDown`].
+struct Downed {
+    link: LinkId,
+    /// The rules [`Delta::LinkUp`] restores.
+    stash: Vec<StashedRule>,
+    /// Keys whose rules changed while the link was down: a restored
+    /// rule at one of them may now be shadowed (`DP017`).
+    changed_meanwhile: HashSet<(LinkId, LabelId)>,
+}
+
 /// A watched query: re-verified after every delta so changed answers
 /// can be pushed.
 struct Watched {
@@ -493,6 +491,17 @@ struct Watched {
     /// Canonical signature of the last answer's outcome (witness
     /// included), used to detect changes.
     last_signature: String,
+    /// Once lint is resident: the compiled query and whether it is
+    /// start-dead on the current table — the `QL004` baseline.
+    start_dead: Option<(CompiledQuery, bool)>,
+}
+
+impl Watched {
+    fn note_start_dead(&mut self, net: &Network) {
+        let compiled = query::compile(&self.query, net);
+        let dead = transition::query_starts_dead(net, &compiled);
+        self.start_dead = Some((compiled, dead));
+    }
 }
 
 /// A resident verification session. See the [module docs](self).
@@ -506,8 +515,8 @@ pub struct Session {
     threads: usize,
     batch_timeout: Option<Duration>,
     watched: Vec<Watched>,
-    /// Stashed rules of links taken down, for [`Delta::LinkUp`].
-    downed: Vec<(LinkId, Vec<StashedRule>)>,
+    /// Links taken down, in the order they went down.
+    downed: Vec<Downed>,
     queries: AtomicUsize,
     deltas_applied: usize,
     invalidated_total: usize,
@@ -515,11 +524,13 @@ pub struct Session {
     /// Cache entries shed under memory pressure (atomic so shedding can
     /// run behind a shared reference, e.g. under a service's read lock).
     shed_total: AtomicUsize,
-    /// Resident incremental lint state, built lazily by the first
-    /// [`Session::lint`] call and kept in lock-step with the dataplane
-    /// by [`Session::apply_delta`] from then on.
-    lint: Option<LintState>,
-    /// Total milliseconds spent in lint builds and incremental re-lints.
+    /// The resident lint report: built by the first [`Session::lint`]
+    /// call and re-linted cold by every [`Session::apply_delta`] from
+    /// then on.
+    lint: Option<LintReport>,
+    /// The routing keys the last re-lint analysed.
+    lint_relinted: Vec<(LinkId, LabelId)>,
+    /// Total milliseconds spent linting.
     lint_millis: f64,
 }
 
@@ -659,16 +670,18 @@ impl Session {
     pub fn watch(&mut self, text: &str) -> Result<(usize, Answer), String> {
         let query = parse_query(text).map_err(|e| e.to_string())?;
         let answer = self.verify(&query);
-        if let Some(lint) = &mut self.lint {
-            // Record the QL004 start-dead baseline at watch time, so
-            // the lint only ever reports a *delta-caused* transition.
-            lint.note_watched(&self.net, text, query::compile(&query, &self.net));
-        }
-        self.watched.push(Watched {
+        let mut watched = Watched {
             text: text.to_string(),
             query,
             last_signature: outcome_signature(&answer),
-        });
+            start_dead: None,
+        };
+        if self.lint.is_some() {
+            // Record the QL004 start-dead baseline at watch time, so
+            // the lint only ever reports a *delta-caused* transition.
+            watched.note_start_dead(&self.net);
+        }
+        self.watched.push(watched);
         Ok((self.watched.len() - 1, answer))
     }
 
@@ -680,7 +693,7 @@ impl Session {
     /// Links currently out of service ([`Delta::LinkDown`] without a
     /// matching [`Delta::LinkUp`] yet), in the order they went down.
     pub fn downed_links(&self) -> Vec<LinkId> {
-        self.downed.iter().map(|(l, _)| *l).collect()
+        self.downed.iter().map(|d| d.link).collect()
     }
 
     /// Estimated resident heap bytes of the session's warm state
@@ -710,62 +723,55 @@ impl Session {
         shed
     }
 
-    /// Lint the resident dataplane. The first call cold-builds the
-    /// incremental [`LintState`] (and registers every already-watched
-    /// query's `QL004` baseline); afterwards the state is kept in
-    /// lock-step by [`Session::apply_delta`], so repeat calls are
-    /// near-free. The returned report is byte-identical to a cold
-    /// `dplint::lint_network` run on the current network.
+    /// Lint the resident dataplane. The first call runs
+    /// `dplint::lint_network` (and records every already-watched
+    /// query's `QL004` baseline); from then on [`Session::apply_delta`]
+    /// re-lints after every delta, so repeat calls are near-free. The
+    /// returned report is the one a cold `dplint::lint_network` run on
+    /// the current network produces.
     pub fn lint(&mut self) -> LintOutcome {
         let start = Instant::now();
         if self.lint.is_none() {
-            let mut state = LintState::new(&self.net);
-            for w in &self.watched {
-                state.note_watched(&self.net, &w.text, query::compile(&w.query, &self.net));
+            for w in &mut self.watched {
+                w.note_start_dead(&self.net);
             }
-            self.lint = Some(state);
         }
-        self.lint_millis += crate::telemetry::millis(start.elapsed());
-        // The state was just created, but the borrow checker cannot see
-        // that through the Option; unreachable fallback over unwrap.
-        let state = match &self.lint {
-            Some(s) => s,
-            None => unreachable!("lint state initialized above"),
-        };
+        let net = &self.net;
+        let report = self
+            .lint
+            .get_or_insert_with(|| dplint::lint_network(net))
+            .clone();
         let mut stats = EngineStats::new();
         stats.lint_millis = crate::telemetry::millis(start.elapsed());
-        stats.lint_incremental_hits = state.incremental_hits();
-        LintOutcome {
-            report: state.report().clone(),
-            stats,
-        }
+        self.lint_millis += stats.lint_millis;
+        LintOutcome { report, stats }
     }
 
-    /// Whether [`Session::lint`] has built the resident lint state yet.
+    /// Whether [`Session::lint`] has built the resident lint report yet.
     pub fn lint_resident(&self) -> bool {
         self.lint.is_some()
     }
 
-    /// The routing keys the most recent delta re-linted, when lint
-    /// state is resident (empty before the first delta). Exposed for
-    /// footprint-disjointness assertions and debugging.
+    /// The routing keys the most recent delta's re-lint analysed, when
+    /// a lint report is resident: every key of the table, since each
+    /// re-lint is cold. Empty before the first delta.
     pub fn lint_last_relinted(&self) -> Option<&[(LinkId, LabelId)]> {
-        self.lint.as_ref().map(|l| l.last_relinted())
+        self.lint.as_ref().map(|_| self.lint_relinted.as_slice())
     }
 
     /// Apply one dataplane delta incrementally: mutate the routing
     /// table, rebuild the query-independent precomputation, drop only
     /// the cached answers whose footprint intersects the touched
-    /// links, re-verify watched queries, and (when lint state is
-    /// resident) incrementally re-lint the touched footprints.
+    /// links, re-verify watched queries, and (when a lint report is
+    /// resident) re-lint the table and diff the two reports.
     pub fn apply_delta(&mut self, delta: &Delta) -> DeltaReport {
         let mut report = DeltaReport::default();
         let mut touched = Footprint::new();
-        // The dplint-side lowering of this delta, built inside the
-        // mutation arms (link-down/up need the stashed-rule lists).
-        let mut lint_delta: Option<LintDelta> = None;
+        // `DP017` findings of a link-up, checked against the restored
+        // table.
+        let mut stale_restores = Vec::new();
 
-        match delta {
+        let changed_key = match delta {
             Delta::AddRule {
                 in_link,
                 label,
@@ -775,70 +781,55 @@ impl Session {
                 .net
                 .try_add_rule(*in_link, *label, *priority, entry.clone())
             {
-                Ok(()) => {
-                    touched.insert(*in_link);
-                    report.applied = true;
-                    lint_delta = Some(LintDelta::RuleChange {
-                        link: *in_link,
-                        label: *label,
-                    });
+                Ok(()) => Some((*in_link, *label)),
+                Err(issue) => {
+                    report.error = Some(issue.to_string());
+                    None
                 }
-                Err(issue) => report.error = Some(issue.to_string()),
             },
             Delta::RemoveRule {
                 in_link,
                 label,
                 priority,
                 entry,
-            } => {
-                if self.net.remove_entry(*in_link, *label, *priority, entry) {
-                    touched.insert(*in_link);
-                    report.applied = true;
-                    lint_delta = Some(LintDelta::RuleChange {
-                        link: *in_link,
-                        label: *label,
-                    });
-                }
-            }
+            } => self
+                .net
+                .remove_entry(*in_link, *label, *priority, entry)
+                .then_some((*in_link, *label)),
             Delta::SetPriority {
                 in_link,
                 label,
                 from,
                 to,
-            } => {
-                if self.net.move_group(*in_link, *label, *from, *to) {
-                    touched.insert(*in_link);
-                    report.applied = true;
-                    lint_delta = Some(LintDelta::RuleChange {
-                        link: *in_link,
-                        label: *label,
-                    });
-                }
-            }
+            } => self
+                .net
+                .move_group(*in_link, *label, *from, *to)
+                .then_some((*in_link, *label)),
             Delta::LinkDown(link) => {
-                if self.downed.iter().any(|(l, _)| l == link) {
+                if self.downed.iter().any(|d| d.link == *link) {
                     report.error = Some(format!(
                         "link {} is already down",
                         self.net.topology.link_name(*link)
                     ));
                     return report;
                 }
-                let hits = self.net.entries_over(*link);
-                for (in_link, label, priority, entry) in &hits {
+                let stash = self.net.entries_over(*link);
+                for (in_link, label, priority, entry) in &stash {
                     self.net.remove_entry(*in_link, *label, *priority, entry);
                     touched.insert(*in_link);
                 }
-                lint_delta = Some(LintDelta::LinkDown {
-                    link: *link,
-                    touched: hits.iter().map(|h| h.0).collect(),
-                });
                 // Stash even an empty hit list: the link is now "down"
                 // and a later LinkUp must find it.
                 report.applied = true;
-                self.downed.push((*link, hits));
+                self.downed.push(Downed {
+                    link: *link,
+                    stash,
+                    changed_meanwhile: HashSet::new(),
+                });
+                None
             }
             Delta::LinkUp(link) => {
-                let Some(pos) = self.downed.iter().position(|(l, _)| l == link) else {
+                let Some(pos) = self.downed.iter().position(|d| d.link == *link) else {
                     // Restoring a link that was never taken down is a
                     // client mistake, not a silent success: say so.
                     report.error = Some(format!(
@@ -847,27 +838,32 @@ impl Session {
                     ));
                     return report;
                 };
-                let (_, hits) = self.downed.remove(pos);
-                lint_delta = Some(LintDelta::LinkUp {
-                    link: *link,
-                    restored: hits
-                        .iter()
-                        .map(|(in_link, label, priority, entry)| RestoredRule {
-                            link: *in_link,
-                            label: *label,
-                            priority: *priority,
-                            out: entry.out,
-                        })
-                        .collect(),
-                });
-                for (in_link, label, priority, entry) in hits {
+                let downed = self.downed.remove(pos);
+                let suspects: Vec<_> = downed
+                    .stash
+                    .iter()
+                    .filter(|r| downed.changed_meanwhile.contains(&(r.0, r.1)))
+                    .map(|r| ((r.0, r.1), r.2, r.3.out))
+                    .collect();
+                for (in_link, label, priority, entry) in downed.stash {
                     // The stashed rules were well-formed when removed and
                     // topology is immutable, so unchecked re-insertion at
                     // the original priority is exact.
                     self.net.add_rule_unchecked(in_link, label, priority, entry);
                     touched.insert(in_link);
                 }
+                stale_restores.extend(suspects.into_iter().filter_map(|(key, priority, out)| {
+                    transition::stale_restore_shadow(&self.net, *link, key, priority, out)
+                }));
                 report.applied = true;
+                None
+            }
+        };
+        if let Some(key) = changed_key {
+            touched.insert(key.0);
+            report.applied = true;
+            for downed in &mut self.downed {
+                downed.changed_meanwhile.insert(key);
             }
         }
 
@@ -909,18 +905,32 @@ impl Session {
             }
         }
 
-        // Incrementally re-lint the delta's footprint when lint state
-        // is resident (lazy: sessions that never lint pay nothing).
-        if let (Some(lint), Some(ld)) = (&mut self.lint, &lint_delta) {
+        // Re-lint when a lint report is resident (lazy: sessions that
+        // never lint pay nothing), and derive the transition lints from
+        // the diff and the delta.
+        if let Some(before) = &self.lint {
             let start = Instant::now();
-            let outcome = lint.apply_delta(&self.net, ld);
+            let after = dplint::lint_network(&self.net);
+            let (added, removed) = before.diff(&after);
+            let mut delta_findings = stale_restores;
+            delta_findings.extend(transition::delta_blackholes(&added));
+            for w in &mut self.watched {
+                if let Some((compiled, was_dead)) = &mut w.start_dead {
+                    let dead = transition::query_starts_dead(&self.net, compiled);
+                    if dead && !*was_dead {
+                        delta_findings.push(transition::dead_after_delta(&w.text));
+                    }
+                    *was_dead = dead;
+                }
+            }
+            self.lint = Some(after);
+            self.lint_relinted.clear();
+            self.lint_relinted.extend(self.net.routing_keys());
             self.lint_millis += crate::telemetry::millis(start.elapsed());
-            report.lint = Some(LintDeltaReport {
-                invalidated: outcome.invalidated,
-                retained: outcome.retained,
-                added: outcome.added,
-                removed: outcome.removed,
-                delta_findings: outcome.delta_findings,
+            report.lint = Some(LintUpdate {
+                added,
+                removed,
+                delta_findings,
             });
         }
         report
@@ -942,7 +952,6 @@ impl Session {
             rules: self.net.num_rules(),
             bytes_resident: self.precomp.bytes_resident(),
             lint_millis: self.lint_millis,
-            lint_incremental_hits: self.lint.as_ref().map_or(0, LintState::incremental_hits),
             ..SessionStats::default()
         };
         if let Some(cache) = &self.cache {
@@ -959,6 +968,7 @@ mod tests {
     use super::*;
     use crate::examples::{paper_network, PAPER_QUERIES};
     use crate::Outcome;
+    use dplint::LintRule;
     use netmodel::Op;
 
     fn demo_queries() -> &'static [&'static str] {
@@ -1158,5 +1168,219 @@ mod tests {
         let a = session.verify(&q);
         assert!(a.outcome.is_satisfied());
         assert_eq!(session.stats().backend, "moped");
+    }
+
+    /// v0 -e0-> v1 -e1-> v2 -e2-> v3, plus v1 -e3-> v2 and v2 -e4-> v1.
+    fn diamond() -> (netmodel::Topology, Vec<LinkId>) {
+        let mut t = netmodel::Topology::new();
+        let v0 = t.add_router("v0", None);
+        let v1 = t.add_router("v1", None);
+        let v2 = t.add_router("v2", None);
+        let v3 = t.add_router("v3", None);
+        let e0 = t.add_link(v0, "a", v1, "b", 1);
+        let e1 = t.add_link(v1, "c", v2, "d", 1);
+        let e2 = t.add_link(v2, "e", v3, "f", 1);
+        let e3 = t.add_link(v1, "g", v2, "h", 1);
+        let e4 = t.add_link(v2, "i", v1, "j", 1);
+        (t, vec![e0, e1, e2, e3, e4])
+    }
+
+    fn entry(out: LinkId, ops: Vec<Op>) -> RoutingEntry {
+        RoutingEntry {
+            out,
+            ops: ops.into(),
+        }
+    }
+
+    /// A session over `net` with its lint report resident.
+    fn linted(net: Network) -> Session {
+        let mut session = Session::open(net);
+        session.lint();
+        session
+    }
+
+    /// Apply `delta` and return how the lint report changed.
+    fn lint_delta(session: &mut Session, delta: Delta) -> LintUpdate {
+        let report = session.apply_delta(&delta);
+        assert!(report.applied, "{:?}", report.error);
+        report.lint.expect("a resident lint report re-lints")
+    }
+
+    fn assert_matches_cold(session: &mut Session) {
+        assert_eq!(
+            session.lint().report.to_json(),
+            dplint::lint_network(session.network()).to_json(),
+            "resident report diverged from a cold run"
+        );
+    }
+
+    #[test]
+    fn cold_build_matches_lint_network() {
+        let mut session = linted(paper_network());
+        assert_matches_cold(&mut session);
+        assert_eq!(session.lint_last_relinted(), Some(&[][..]));
+    }
+
+    #[test]
+    fn rule_change_introducing_blackhole_fires_dp016() {
+        let (t, e) = diamond();
+        let mut labels = netmodel::LabelTable::new();
+        let s1 = labels.mpls_bos("s1");
+        let s2 = labels.mpls_bos("s2");
+        let s3 = labels.mpls_bos("s3");
+        let mut net = Network::new(t, labels);
+        net.add_rule(e[0], s1, 1, entry(e[1], vec![Op::Swap(s2)]));
+        net.add_rule(e[1], s2, 1, entry(e[2], vec![Op::Pop]));
+        let mut session = linted(net);
+        assert!(session.lint().report.is_clean());
+
+        // Retarget v1's rule to swap to s3, which v2 does not match:
+        // the second delta manufactures a blackhole.
+        lint_delta(
+            &mut session,
+            Delta::RemoveRule {
+                in_link: e[0],
+                label: s1,
+                priority: 1,
+                entry: entry(e[1], vec![Op::Swap(s2)]),
+            },
+        );
+        let o1 = lint_delta(
+            &mut session,
+            Delta::AddRule {
+                in_link: e[0],
+                label: s1,
+                priority: 1,
+                entry: entry(e[1], vec![Op::Swap(s3)]),
+            },
+        );
+        assert_matches_cold(&mut session);
+        assert!(session.lint().report.has_rule(LintRule::Blackhole));
+        assert!(
+            o1.delta_findings
+                .iter()
+                .any(|f| f.rule == LintRule::DeltaBlackhole),
+            "{:?}",
+            o1.delta_findings
+        );
+        assert_eq!(o1.added.len(), 1);
+    }
+
+    #[test]
+    fn link_down_up_cycle_stays_cold_identical() {
+        let (t, e) = diamond();
+        let mut labels = netmodel::LabelTable::new();
+        let s1 = labels.mpls_bos("s1");
+        let mut net = Network::new(t, labels);
+        net.add_rule(e[0], s1, 1, entry(e[1], vec![Op::Swap(s1)]));
+        net.add_rule(e[0], s1, 2, entry(e[3], vec![Op::Swap(s1)]));
+        net.add_rule(e[1], s1, 1, entry(e[2], vec![Op::Pop]));
+        net.add_rule(e[3], s1, 1, entry(e[2], vec![Op::Pop]));
+        let mut session = linted(net);
+
+        // Take e1 down: stash the primary at (e0, s1).
+        lint_delta(&mut session, Delta::LinkDown(e[1]));
+        assert_matches_cold(&mut session);
+
+        // Restore.
+        let o = lint_delta(&mut session, Delta::LinkUp(e[1]));
+        assert_matches_cold(&mut session);
+        // Nothing was added meanwhile, so no DP017.
+        assert!(o.delta_findings.is_empty(), "{:?}", o.delta_findings);
+    }
+
+    #[test]
+    fn stale_restore_shadow_fires_dp017() {
+        let (t, e) = diamond();
+        let mut labels = netmodel::LabelTable::new();
+        let s1 = labels.mpls_bos("s1");
+        let mut net = Network::new(t, labels);
+        // Priority-2 backup over e1; primary over e3.
+        net.add_rule(e[0], s1, 1, entry(e[3], vec![Op::Swap(s1)]));
+        net.add_rule(e[0], s1, 2, entry(e[1], vec![Op::Swap(s1)]));
+        net.add_rule(e[1], s1, 1, entry(e[2], vec![Op::Pop]));
+        net.add_rule(e[3], s1, 1, entry(e[2], vec![Op::Pop]));
+        let mut session = linted(net);
+
+        // e1 goes down: only rules with out == e1 (the backup) are
+        // stashed.
+        lint_delta(&mut session, Delta::LinkDown(e[1]));
+
+        // Meanwhile a new priority-1 rule at (e0, s1) forwards over e1,
+        // shadowing the backup the link-up will restore.
+        lint_delta(
+            &mut session,
+            Delta::AddRule {
+                in_link: e[0],
+                label: s1,
+                priority: 1,
+                entry: entry(e[1], vec![Op::Swap(s1)]),
+            },
+        );
+        assert_matches_cold(&mut session);
+
+        let o = lint_delta(&mut session, Delta::LinkUp(e[1]));
+        assert_matches_cold(&mut session);
+        assert!(
+            o.delta_findings
+                .iter()
+                .any(|f| f.rule == LintRule::StaleRestoreShadow),
+            "{:?}",
+            o.delta_findings
+        );
+    }
+
+    #[test]
+    fn watched_query_death_fires_ql004_once() {
+        let (t, e) = diamond();
+        let mut labels = netmodel::LabelTable::new();
+        let s1 = labels.mpls_bos("s1");
+        let mut net = Network::new(t, labels);
+        net.add_rule(e[0], s1, 1, entry(e[1], vec![Op::Swap(s1)]));
+        net.add_rule(e[1], s1, 1, entry(e[2], vec![Op::Pop]));
+        let mut session = linted(net);
+
+        // A two-hop path through v1: needs a first forwarding step.
+        session
+            .watch("<s1> [.#v1] .* [v2#.] <s1> 0")
+            .expect("query parses");
+
+        // Removing (e0, s1)'s only rule kills every first step the
+        // path constraint allows.
+        let o = lint_delta(
+            &mut session,
+            Delta::RemoveRule {
+                in_link: e[0],
+                label: s1,
+                priority: 1,
+                entry: entry(e[1], vec![Op::Swap(s1)]),
+            },
+        );
+        assert_matches_cold(&mut session);
+        assert!(
+            o.delta_findings
+                .iter()
+                .any(|f| f.rule == LintRule::DeadAfterDelta),
+            "{:?}",
+            o.delta_findings
+        );
+
+        // Already dead: no repeat finding on the next delta.
+        let o2 = lint_delta(
+            &mut session,
+            Delta::RemoveRule {
+                in_link: e[1],
+                label: s1,
+                priority: 1,
+                entry: entry(e[2], vec![Op::Pop]),
+            },
+        );
+        assert!(
+            !o2.delta_findings
+                .iter()
+                .any(|f| f.rule == LintRule::DeadAfterDelta),
+            "{:?}",
+            o2.delta_findings
+        );
     }
 }

@@ -28,19 +28,17 @@
 //!
 //! After a `delta`, every subscriber whose watched query changed its
 //! answer receives an unsolicited `"update"` envelope on its own
-//! connection, and — when the incremental re-lint changed the report or
-//! produced delta-native findings — every subscriber receives a
-//! `"lint-update"` envelope with the added/removed/delta findings and
-//! the invalidation counters. After a `load`, every subscriber receives
+//! connection, and — when the re-lint changed the report or produced
+//! delta-native findings — every subscriber receives a `"lint-update"`
+//! envelope with the added/removed/delta findings. After a `load`, every subscriber receives
 //! a `"reset"` envelope (its watch indices died with the old dataplane)
 //! before the subscriber list is cleared. Malformed requests answer an
 //! `"error"` envelope; the connection stays open.
 //!
 //! The lint report is resident: it is primed when a dataplane loads
 //! (including journal replay, so a restarted daemon reconstructs the
-//! same lint state) and every admitted delta re-lints only the routing
-//! keys whose footprint the delta touches, staying byte-identical to a
-//! cold `dplint` run on the mutated network.
+//! same lint state) and every admitted delta re-lints the mutated
+//! network cold with `dplint`.
 //!
 //! ## Robustness
 //!
@@ -555,7 +553,7 @@ impl Daemon {
             .cache_size(self.shared.config.cache_size)
             .open(net);
         // Prime the resident lint state with the freshly loaded
-        // dataplane: deltas re-lint incrementally from here on, and —
+        // dataplane: every delta re-lints from here on, and —
         // because every path to a session goes through this
         // constructor — journal replay reconstructs the same lint
         // state a crashed daemon had (the resident report is a pure
@@ -769,21 +767,13 @@ impl Daemon {
     fn handle_health(&self) -> String {
         let mut o = JsonObject::new();
         o.number("uptimeMs", self.shared.started.elapsed().as_millis() as f64);
-        let (resident, lint_millis, lint_hits) = match read_lock(&self.shared.session).as_ref() {
-            Some(s) => {
-                let stats = s.stats();
-                (
-                    Some(s.bytes_resident()),
-                    stats.lint_millis,
-                    stats.lint_incremental_hits,
-                )
-            }
-            None => (None, 0.0, 0),
+        let (resident, lint_millis) = match read_lock(&self.shared.session).as_ref() {
+            Some(s) => (Some(s.bytes_resident()), s.stats().lint_millis),
+            None => (None, 0.0),
         };
         o.boolean("loaded", resident.is_some());
         o.number("residentBytes", resident.unwrap_or(0) as f64);
         o.number("lintMillis", lint_millis);
-        o.number("lintIncrementalHits", lint_hits as f64);
         o.number(
             "maxResidentBytes",
             self.shared.config.max_resident_bytes as f64,
@@ -933,8 +923,6 @@ impl Daemon {
                 o.raw("added", &Self::findings_json(&lint.added));
                 o.raw("removed", &Self::findings_json(&lint.removed));
                 o.raw("deltaFindings", &Self::findings_json(&lint.delta_findings));
-                o.number("lintInvalidated", lint.invalidated as f64);
-                o.number("lintRetained", lint.retained as f64);
                 let update = envelope("lint-update", &o.finish());
                 let subscribers = lock(&self.shared.subscribers);
                 for sub in subscribers.iter() {
@@ -1501,7 +1489,7 @@ mod tests {
         let health = parse_json(&d.handle(r#"{"verb":"health"}"#, &sink())).unwrap();
         assert!(health
             .get("payload")
-            .and_then(|h| h.get("lintIncrementalHits"))
+            .and_then(|h| h.get("lintMillis"))
             .and_then(Value::as_f64)
             .is_some());
     }
@@ -1541,8 +1529,6 @@ mod tests {
         assert!(!added.is_empty());
         let delta_findings = p.get("deltaFindings").unwrap().to_json();
         assert!(delta_findings.contains("DP016"), "{delta_findings}");
-        assert!(p.get("lintInvalidated").and_then(Value::as_f64).is_some());
-        assert!(p.get("lintRetained").and_then(Value::as_f64).is_some());
     }
 
     #[test]

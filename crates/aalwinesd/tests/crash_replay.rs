@@ -32,8 +32,19 @@ fn temp(tag: &str, ext: &str) -> PathBuf {
     ))
 }
 
-fn spawn_daemon(socket: &Path, journal: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_aalwinesd"))
+/// A spawned daemon, killed and reaped when dropped: a failing assertion
+/// unwinds through the drop, so no `aalwinesd` outlives the test.
+struct DaemonProcess(Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+fn spawn_daemon(socket: &Path, journal: &Path) -> DaemonProcess {
+    let child = Command::new(env!("CARGO_BIN_EXE_aalwinesd"))
         .arg("--socket")
         .arg(socket)
         .arg("--journal")
@@ -41,7 +52,8 @@ fn spawn_daemon(socket: &Path, journal: &Path) -> Child {
         .arg("--demo")
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn daemon")
+        .expect("spawn daemon");
+    DaemonProcess(child)
 }
 
 fn connect_with_backoff(path: &Path) -> UnixStream {
@@ -133,8 +145,8 @@ fn crash_round(seed: u64) -> usize {
     let _ = writer.flush();
     // Crash at a random point while the daemon drains the storm.
     std::thread::sleep(Duration::from_millis(rng.gen_range(0u64..80)));
-    child.kill().expect("kill -9");
-    child.wait().expect("wait");
+    child.0.kill().expect("kill -9");
+    child.0.wait().expect("wait");
     let _ = std::fs::remove_file(&socket);
     // The client's old connection died with the daemon: it drains what
     // was answered before the kill and then ends; it never stalls.
@@ -225,7 +237,7 @@ fn crash_round(seed: u64) -> usize {
     );
 
     roundtrip(&mut reader, &mut writer, r#"{"verb":"shutdown"}"#);
-    let _ = child2.wait();
+    let _ = child2.0.wait();
     let _ = std::fs::remove_file(&socket);
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&journal_copy);

@@ -2,8 +2,8 @@
 //! sequences, blackhole/shadowing/loop/partition/shared-fate checks.
 
 use crate::report::{LintFinding, LintReport, LintRule};
-use netmodel::{LabelId, LabelKind, LinkId, Network, Op, Severity};
-use std::collections::{HashMap, HashSet};
+use netmodel::{LabelId, LabelKind, LinkId, Network, Op, Severity, TeGroup};
+use pdaal::fxhash::FxHashMap;
 
 /// Abstract value of the top of the header after some operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -153,18 +153,16 @@ fn interpret(net: &Network, key: LabelId, ops: &[Op]) -> AbsResult {
 
 /// Per-network context shared by the analyses: range checks and
 /// pre-computed key/router indexes.
-///
-/// `pub(crate)` so [`crate::incremental`] can run the *same* per-key
-/// analysis functions against the same context — byte-identity of the
-/// incremental report rests on sharing this code, not mirroring it.
-pub(crate) struct Ctx<'a> {
-    pub(crate) net: &'a Network,
-    pub(crate) n_links: usize,
+struct Ctx<'a> {
+    net: &'a Network,
+    n_links: usize,
     n_labels: usize,
-    /// All routing keys, sorted by `(link, label)` index for
-    /// deterministic reports.
-    pub(crate) keys: Vec<(LinkId, LabelId)>,
-    pub(crate) key_set: HashSet<(LinkId, LabelId)>,
+    /// All routing keys with their priority groups, sorted by
+    /// `(link, label)` index for deterministic reports.
+    keys: Vec<((LinkId, LabelId), &'a [TeGroup])>,
+    /// Position of each routing key in `keys`: the node index of the
+    /// loop graph, and the key-existence probe of the blackhole check.
+    index_of: FxHashMap<(LinkId, LabelId), usize>,
     /// Whether a router has at least one (in-range) routing key — i.e.
     /// participates in MPLS forwarding. Routers without any rules are
     /// treated as egress points of the MPLS domain (the paper's
@@ -173,14 +171,17 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    pub(crate) fn new(net: &'a Network) -> Self {
+    fn new(net: &'a Network) -> Self {
         let n_links = net.topology.num_links() as usize;
         let n_labels = net.labels.len();
-        let mut keys: Vec<_> = net.routing_keys().collect();
-        keys.sort_by_key(|(l, lab)| (l.index(), lab.index()));
-        let key_set: HashSet<_> = keys.iter().copied().collect();
+        let mut keys: Vec<_> = net
+            .routing_keys()
+            .map(|(l, lab)| ((l, lab), net.groups(l, lab)))
+            .collect();
+        keys.sort_unstable_by_key(|((l, lab), _)| (l.index(), lab.index()));
+        let index_of = keys.iter().enumerate().map(|(i, &(k, _))| (k, i)).collect();
         let mut router_has_rules = vec![false; net.topology.num_routers() as usize];
-        for &(l, _) in &keys {
+        for &((l, _), _) in &keys {
             if l.index() < n_links {
                 router_has_rules[net.topology.dst(l).index()] = true;
             }
@@ -190,7 +191,7 @@ impl<'a> Ctx<'a> {
             n_links,
             n_labels,
             keys,
-            key_set,
+            index_of,
             router_has_rules,
         }
     }
@@ -206,12 +207,7 @@ impl<'a> Ctx<'a> {
     /// Whether the rule is fully in-range and adjacent — i.e. passes
     /// the well-formedness mirror. Flow analyses skip anything else to
     /// avoid cascading findings off already-reported corruption.
-    pub(crate) fn entry_sane(
-        &self,
-        in_link: LinkId,
-        label: LabelId,
-        entry: &netmodel::RoutingEntry,
-    ) -> bool {
+    fn entry_sane(&self, in_link: LinkId, label: LabelId, entry: &netmodel::RoutingEntry) -> bool {
         self.link_ok(in_link)
             && self.label_ok(label)
             && self.link_ok(entry.out)
@@ -222,7 +218,7 @@ impl<'a> Ctx<'a> {
             })
     }
 
-    pub(crate) fn key_loc(&self, in_link: LinkId, label: LabelId) -> String {
+    fn key_loc(&self, in_link: LinkId, label: LabelId) -> String {
         let link = if self.link_ok(in_link) {
             self.net.topology.link_name(in_link)
         } else {
@@ -238,7 +234,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// Mirror [`Network::validate`]'s typed issues under stable lint codes.
-pub(crate) fn well_formedness(ctx: &Ctx, report: &mut LintReport) {
+fn well_formedness(ctx: &Ctx, report: &mut LintReport) {
     for issue in ctx.net.validate() {
         let rule = match issue.kind {
             netmodel::IssueKind::UnknownLabel => LintRule::UnknownLabel,
@@ -253,177 +249,122 @@ pub(crate) fn well_formedness(ctx: &Ctx, report: &mut LintReport) {
     }
 }
 
-/// Blackholes (`DP010`) and partition violations (`DP013`) for one
-/// routing key — one abstract pass per rule entry. Shared verbatim by
-/// the cold pass ([`flow_checks`]) and [`crate::incremental`], which
-/// caches the returned findings per key.
-pub(crate) fn flow_key(ctx: &Ctx, in_link: LinkId, label: LabelId) -> Vec<LintFinding> {
-    let mut findings = Vec::new();
-    for (gi, group) in ctx.net.groups(in_link, label).iter().enumerate() {
-        for entry in group {
-            if !ctx.entry_sane(in_link, label, entry) {
-                continue;
-            }
-            let loc = format!("rule {} prio {}", ctx.key_loc(in_link, label), gi + 1);
-            let result = interpret(ctx.net, label, &entry.ops);
-            for (severity, message) in result.violations {
-                let mut finding =
-                    LintFinding::new(LintRule::PartitionViolation, loc.clone(), message);
-                finding.severity = severity;
-                findings.push(finding);
-            }
-            let Some(out_top) = result.out_top else {
-                continue;
-            };
-            if ctx.net.labels.kind(out_top) == LabelKind::Ip {
-                // Bare IP headers leave the MPLS lint's scope (IP
-                // routing may deliver them anywhere).
-                continue;
-            }
-            let downstream = ctx.net.topology.dst(entry.out);
-            if ctx.router_has_rules[downstream.index()]
-                && !ctx.key_set.contains(&(entry.out, out_top))
-            {
-                findings.push(LintFinding::new(
-                    LintRule::Blackhole,
-                    loc,
-                    format!(
-                        "forwards label {} over {} but {} has no rule for it",
-                        ctx.net.labels.name(out_top),
-                        ctx.net.topology.link_name(entry.out),
-                        ctx.net.topology.router(downstream).name
-                    ),
-                ));
-            }
-        }
-    }
-    findings
-}
-
 /// Blackholes (`DP010`) and partition violations (`DP013`), one
-/// abstract pass per rule entry.
-fn flow_checks(ctx: &Ctx, report: &mut LintReport) {
-    for &(in_link, label) in &ctx.keys {
-        for finding in flow_key(ctx, in_link, label) {
-            report.push(finding);
-        }
-    }
-}
-
-/// Shadowed rules (`DP011`) and shared-fate protection (`DP014`) for
-/// one routing key, under TE-group priority dominance. Shared verbatim
-/// by [`priority_checks`] and [`crate::incremental`].
-pub(crate) fn prio_key(ctx: &Ctx, in_link: LinkId, label: LabelId) -> Vec<LintFinding> {
-    let mut findings = Vec::new();
-    let groups = ctx.net.groups(in_link, label);
-    let non_empty = groups.iter().filter(|g| !g.is_empty()).count();
-
-    // Shared fate: ≥ 2 priority levels that all forward over one
-    // single link — protection that one failure defeats.
-    let outs: HashSet<LinkId> = groups
-        .iter()
-        .flatten()
-        .map(|e| e.out)
-        .filter(|&o| ctx.link_ok(o))
-        .collect();
-    if non_empty >= 2 && outs.len() == 1 {
-        let out = *outs.iter().next().unwrap_or(&LinkId(0));
-        findings.push(LintFinding::new(
-            LintRule::SharedFate,
-            format!("rule {}", ctx.key_loc(in_link, label)),
-            format!(
-                "all {non_empty} priority levels forward over {}; one failure defeats the protection",
-                ctx.net.topology.link_name(out)
-            ),
-        ));
-        // The backups are also shadowed by definition; the
-        // shared-fate finding subsumes those, so skip DP011 here.
-        return findings;
-    }
-
-    let mut earlier: HashSet<LinkId> = HashSet::new();
-    for (gi, group) in groups.iter().enumerate() {
-        for entry in group {
-            if gi > 0 && ctx.link_ok(entry.out) && earlier.contains(&entry.out) {
-                findings.push(LintFinding::new(
-                    LintRule::ShadowedRule,
-                    format!("rule {} prio {}", ctx.key_loc(in_link, label), gi + 1),
-                    format!(
-                        "forwards over {} which a higher-priority group already uses; \
-                         this group is only consulted once that link failed",
-                        ctx.net.topology.link_name(entry.out)
-                    ),
-                ));
+/// abstract pass per sane rule entry. The same pass collects the edges
+/// of the zero-failure forwarding graph for [`loop_check`]: for each
+/// key, the sane entries of its highest-priority non-empty group whose
+/// out-label is statically known, pointing at the key they forward
+/// into (when that key exists). Returns that adjacency, indexed like
+/// `ctx.keys`.
+fn flow_checks(ctx: &Ctx, report: &mut LintReport) -> Vec<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); ctx.keys.len()];
+    for (i, &((in_link, label), groups)) in ctx.keys.iter().enumerate() {
+        let first = groups.iter().position(|g| !g.is_empty());
+        for (gi, group) in groups.iter().enumerate() {
+            // Built only when a finding needs it: a clean table never
+            // pays for the string.
+            let loc = || format!("rule {} prio {}", ctx.key_loc(in_link, label), gi + 1);
+            for entry in group {
+                if !ctx.entry_sane(in_link, label, entry) {
+                    continue;
+                }
+                let result = interpret(ctx.net, label, &entry.ops);
+                for (severity, message) in result.violations {
+                    let mut finding =
+                        LintFinding::new(LintRule::PartitionViolation, loc(), message);
+                    finding.severity = severity;
+                    report.push(finding);
+                }
+                let Some(out_top) = result.out_top else {
+                    continue;
+                };
+                let target = ctx.index_of.get(&(entry.out, out_top));
+                if Some(gi) == first {
+                    adj[i].extend(target);
+                }
+                if ctx.net.labels.kind(out_top) == LabelKind::Ip {
+                    // Bare IP headers leave the MPLS lint's scope (IP
+                    // routing may deliver them anywhere).
+                    continue;
+                }
+                let downstream = ctx.net.topology.dst(entry.out);
+                if ctx.router_has_rules[downstream.index()] && target.is_none() {
+                    report.push(LintFinding::new(
+                        LintRule::Blackhole,
+                        loc(),
+                        format!(
+                            "forwards label {} over {} but {} has no rule for it",
+                            ctx.net.labels.name(out_top),
+                            ctx.net.topology.link_name(entry.out),
+                            ctx.net.topology.router(downstream).name
+                        ),
+                    ));
+                }
             }
         }
-        earlier.extend(group.iter().map(|e| e.out).filter(|&o| ctx.link_ok(o)));
     }
-    findings
+    adj
 }
 
 /// Shadowed rules (`DP011`) and shared-fate protection (`DP014`) under
 /// TE-group priority dominance.
 fn priority_checks(ctx: &Ctx, report: &mut LintReport) {
-    for &(in_link, label) in &ctx.keys {
-        for finding in prio_key(ctx, in_link, label) {
-            report.push(finding);
+    for &((in_link, label), groups) in &ctx.keys {
+        if groups.len() < 2 {
+            // One priority level: nothing to shadow, no protection.
+            continue;
+        }
+        let non_empty = groups.iter().filter(|g| !g.is_empty()).count();
+
+        // Shared fate: ≥ 2 priority levels that all forward over one
+        // single link — protection that one failure defeats.
+        let mut outs = groups
+            .iter()
+            .flatten()
+            .map(|e| e.out)
+            .filter(|&o| ctx.link_ok(o));
+        let shared = outs.next().filter(|&out| outs.all(|o| o == out));
+        if let (true, Some(out)) = (non_empty >= 2, shared) {
+            report.push(LintFinding::new(
+                LintRule::SharedFate,
+                format!("rule {}", ctx.key_loc(in_link, label)),
+                format!(
+                    "all {non_empty} priority levels forward over {}; one failure defeats the protection",
+                    ctx.net.topology.link_name(out)
+                ),
+            ));
+            // The backups are also shadowed by definition; the
+            // shared-fate finding subsumes those, so skip DP011 here.
+            continue;
+        }
+
+        for (gi, group) in groups.iter().enumerate() {
+            for entry in group {
+                let earlier = || groups[..gi].iter().flatten().any(|e| e.out == entry.out);
+                if ctx.link_ok(entry.out) && earlier() {
+                    report.push(LintFinding::new(
+                        LintRule::ShadowedRule,
+                        format!("rule {} prio {}", ctx.key_loc(in_link, label), gi + 1),
+                        format!(
+                            "forwards over {} which a higher-priority group already uses; \
+                             this group is only consulted once that link failed",
+                            ctx.net.topology.link_name(entry.out)
+                        ),
+                    ));
+                }
+            }
         }
     }
 }
 
 /// Zero-failure forwarding loops (`DP012`): SCCs of the forwarding
 /// graph whose nodes are routing keys and whose edges follow the
-/// highest-priority non-empty group with a statically known out-label.
+/// highest-priority non-empty group with a statically known out-label
+/// (`adj`, as [`flow_checks`] collected it).
 /// Edges are only added when the out-label is definite, so reported
 /// loops are real zero-failure loops (no false positives); loops hidden
 /// behind a `pop` are not reported.
-fn loop_check(ctx: &Ctx, report: &mut LintReport) {
-    let index_of: HashMap<(LinkId, LabelId), usize> =
-        ctx.keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); ctx.keys.len()];
-    for (i, &(in_link, label)) in ctx.keys.iter().enumerate() {
-        for (out, out_top) in loop_edges_key(ctx, in_link, label) {
-            if let Some(&j) = index_of.get(&(out, out_top)) {
-                adj[i].push(j);
-            }
-        }
-    }
-    loop_findings_from_adj(ctx, &adj, report);
-}
-
-/// Raw loop-graph successors of one routing key: `(out_link, out_top)`
-/// of every sane entry of the highest-priority non-empty group whose
-/// out-label is statically known — *without* the key-set membership
-/// filter. The filter (drop targets that are not current routing keys)
-/// is applied at assembly time against the current key index, so
-/// [`crate::incremental`] can cache these raw pairs per key and still
-/// match the cold pass exactly after the key set shifts under deltas.
-pub(crate) fn loop_edges_key(ctx: &Ctx, in_link: LinkId, label: LabelId) -> Vec<(LinkId, LabelId)> {
-    let mut edges = Vec::new();
-    let Some(first) = ctx
-        .net
-        .groups(in_link, label)
-        .iter()
-        .find(|g| !g.is_empty())
-    else {
-        return edges;
-    };
-    for entry in first {
-        if !ctx.entry_sane(in_link, label, entry) {
-            continue;
-        }
-        if let Some(out_top) = interpret(ctx.net, label, &entry.ops).out_top {
-            edges.push((entry.out, out_top));
-        }
-    }
-    edges
-}
-
-/// The global half of the loop pass: Tarjan SCC over the assembled
-/// key-index adjacency, reporting every non-trivial component as a
-/// `DP012`. Shared verbatim by [`loop_check`] and
-/// [`crate::incremental`].
-pub(crate) fn loop_findings_from_adj(ctx: &Ctx, adj: &[Vec<usize>], report: &mut LintReport) {
+fn loop_check(ctx: &Ctx, adj: &[Vec<usize>], report: &mut LintReport) {
     // Iterative Tarjan SCC (the keys of big tables overflow a recursive
     // walk).
     let n = ctx.keys.len();
@@ -432,12 +373,15 @@ pub(crate) fn loop_findings_from_adj(ctx: &Ctx, adj: &[Vec<usize>], report: &mut
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_id = 0usize;
+    // The components with a cycle: more than one key, or one key with a
+    // self-edge.
     let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut call: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
         if ids[root] != usize::MAX {
             continue;
         }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+        call.push((root, 0));
         while let Some(frame) = call.len().checked_sub(1) {
             let (v, ei) = call[frame];
             if ids[v] == usize::MAX {
@@ -457,16 +401,17 @@ pub(crate) fn loop_findings_from_adj(ctx: &Ctx, adj: &[Vec<usize>], report: &mut
                 }
             } else {
                 if low[v] == ids[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+                    // v roots a component: itself and every key above
+                    // it on the stack.
+                    let pos = stack.iter().rposition(|&w| w == v).unwrap_or(0);
+                    if stack.len() - pos > 1 || adj[v].contains(&v) {
+                        let mut comp = stack[pos..].to_vec();
+                        comp.sort_unstable();
+                        sccs.push(comp);
                     }
-                    comp.sort_unstable();
-                    sccs.push(comp);
+                    for w in stack.drain(pos..) {
+                        on_stack[w] = false;
+                    }
                 }
                 call.pop();
                 if let Some(&(u, _)) = call.last() {
@@ -477,13 +422,12 @@ pub(crate) fn loop_findings_from_adj(ctx: &Ctx, adj: &[Vec<usize>], report: &mut
     }
 
     for comp in sccs {
-        let looping = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
-        if !looping {
-            continue;
-        }
         let mut names: Vec<String> = comp
             .iter()
-            .map(|&i| ctx.key_loc(ctx.keys[i].0, ctx.keys[i].1))
+            .map(|&i| {
+                let (in_link, label) = ctx.keys[i].0;
+                ctx.key_loc(in_link, label)
+            })
             .collect();
         names.sort();
         const SHOW: usize = 4;
@@ -519,9 +463,9 @@ pub fn lint_network(net: &Network) -> LintReport {
         ));
     }
     well_formedness(&ctx, &mut report);
-    flow_checks(&ctx, &mut report);
+    let adj = flow_checks(&ctx, &mut report);
     priority_checks(&ctx, &mut report);
-    loop_check(&ctx, &mut report);
+    loop_check(&ctx, &adj, &mut report);
     report.sort();
     report
 }

@@ -54,13 +54,11 @@
 //! emptiness check the engine's quick-decide pre-pass uses to answer
 //! vacuous queries without building a pushdown system.
 //!
-//! ## Incremental re-linting
+//! ## Lint under deltas
 //!
-//! [`incremental::LintState`] keeps the per-key analysis artifacts
-//! resident behind link-granular footprints, so a dataplane delta
-//! re-lints only the keys it can affect while staying byte-identical
-//! to a cold [`lint_network`] run (see the module docs for the
-//! footprint model). It also powers three delta-native lints batch
+//! A resident session re-runs [`lint_network`] cold after every delta
+//! and diffs the two reports ([`LintReport::diff`]). The [`transition`]
+//! module derives three lints from that diff and the delta, which batch
 //! analysis cannot express: `DP016` (delta-induced blackhole), `DP017`
 //! (stale-restore shadow), and `QL004` (watched query start-dead after
 //! a delta).
@@ -70,12 +68,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod dataplane;
-pub mod incremental;
 mod querylint;
 mod report;
+pub mod transition;
 
 pub use dataplane::lint_network;
-pub use incremental::{LintDelta, LintDeltaOutcome, LintState, RestoredRule};
 pub use querylint::{lint_queries, lint_query};
 pub use report::{registry_markdown, LintFinding, LintReport, LintRule, RegistryEntry, REGISTRY};
 

@@ -2,6 +2,7 @@
 
 use formats::json::JsonObject;
 use netmodel::Severity;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Every lint rule, with a stable code. `DP…` codes analyze the
@@ -43,8 +44,9 @@ pub enum LintRule {
     /// query is vacuously unsatisfiable.
     VacuousQuery,
     /// `DP016` — a dataplane delta turned a previously clean out-label
-    /// into a blackhole (delta-native: only the incremental analyzer
-    /// can tell a pre-existing blackhole from one a delta introduced).
+    /// into a blackhole (delta-native: only a diff of the reports
+    /// before and after the delta tells a pre-existing blackhole from
+    /// one the delta introduced).
     DeltaBlackhole,
     /// `DP017` — a `LinkUp` restored stashed rules that are now
     /// shadowed by higher-priority rules added while the link was down.
@@ -376,19 +378,41 @@ impl LintReport {
 
     /// Restore the sorted order after pushes.
     pub(crate) fn sort(&mut self) {
-        self.findings.sort_by(|a, b| {
-            (a.rule.code(), &a.location, &a.explanation).cmp(&(
-                b.rule.code(),
-                &b.location,
-                &b.explanation,
-            ))
-        });
+        self.findings.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));
     }
 
     /// Fold another report into this one, keeping the sorted order.
     pub fn merge(&mut self, other: LintReport) {
         self.findings.extend(other.findings);
         self.sort();
+    }
+
+    /// Multiset diff against a `newer` report, both in sorted order:
+    /// `(added, removed)` — the findings only in `newer`, and those only
+    /// in `self`.
+    pub fn diff(&self, newer: &LintReport) -> (Vec<LintFinding>, Vec<LintFinding>) {
+        let (old, new) = (&self.findings, &newer.findings);
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match sort_key(&old[i]).cmp(&sort_key(&new[j])) {
+                Ordering::Less => {
+                    removed.push(old[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    added.push(new[j].clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        removed.extend_from_slice(&old[i..]);
+        added.extend_from_slice(&new[j..]);
+        (added, removed)
     }
 
     /// Whether no lint fired.
@@ -449,6 +473,11 @@ impl LintReport {
         o.raw("findings", &arr);
         o.finish()
     }
+}
+
+/// The report order: code, then location, then explanation.
+fn sort_key(f: &LintFinding) -> (&'static str, &str, &str) {
+    (f.rule.code(), &f.location, &f.explanation)
 }
 
 impl fmt::Display for LintReport {

@@ -26,10 +26,21 @@ use aalwines::{
 };
 use netmodel::Network;
 use query::parse_query;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// `println!` for everything the run prints to stdout, except that a
+/// reader that went away (`aalwines … | head -1`) ends the run quietly
+/// with status 1 instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        if writeln!(std::io::stdout(), $($arg)*).is_err() {
+            std::process::exit(1);
+        }
+    };
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -37,7 +48,7 @@ fn usage() -> ! {
          \x20        [--locations loc.json] (--query '<a> b <c> k' ... | --stdin)\n\
          \x20        [--weight 'expr, expr, ...'] [--engine dual|moped]\n\
          \x20        [--deadline-ms N] [--batch-deadline-ms N] [--max-transitions N]\n\
-         \x20        [--threads N] [--no-cache] [--cache-size N]\n\
+         \x20        [--threads N] [--cache-size N]\n\
          \x20        [--window N] [--progress-ms N]\n\
          \x20        [--stats] [--json] [--repair]\n\
          \x20        [--write-topology out.xml] [--write-routing out.xml]\n\
@@ -51,9 +62,9 @@ fn usage() -> ! {
 fn report(net: &Network, text: &str, answer: &Answer, show_stats: bool) -> bool {
     let conclusive = match &answer.outcome {
         Outcome::Satisfied(w) => {
-            println!("{text}");
-            println!("  SATISFIED");
-            println!("  witness: {}", w.trace.display(net));
+            outln!("{text}");
+            outln!("  SATISFIED");
+            outln!("  witness: {}", w.trace.display(net));
             if !w.failed_links.is_empty() {
                 let mut names: Vec<String> = w
                     .failed_links
@@ -61,32 +72,32 @@ fn report(net: &Network, text: &str, answer: &Answer, show_stats: bool) -> bool 
                     .map(|&l| net.topology.link_name(l))
                     .collect();
                 names.sort();
-                println!("  failed links: {}", names.join(", "));
+                outln!("  failed links: {}", names.join(", "));
             }
             if let Some(weight) = &w.weight {
-                println!("  weight: {weight:?}");
+                outln!("  weight: {weight:?}");
             }
             true
         }
         Outcome::Unsatisfied => {
-            println!("{text}\n  UNSATISFIED");
+            outln!("{text}\n  UNSATISFIED");
             true
         }
         Outcome::Inconclusive => {
-            println!("{text}\n  INCONCLUSIVE");
+            outln!("{text}\n  INCONCLUSIVE");
             false
         }
         Outcome::Aborted(reason) => {
-            println!("{text}\n  ABORTED ({reason})");
+            outln!("{text}\n  ABORTED ({reason})");
             false
         }
         Outcome::Error(msg) => {
-            println!("{text}\n  ERROR ({msg})");
+            outln!("{text}\n  ERROR ({msg})");
             false
         }
     };
     if show_stats {
-        println!("  stats: {}", answer.stats.to_json());
+        outln!("  stats: {}", answer.stats.to_json());
     }
     conclusive
 }
@@ -109,13 +120,6 @@ fn main() -> ExitCode {
     };
 
     let lint_mode = has("--lint") || has("--lint-json");
-
-    // `--no-cache` and `--cache-size` used to silently resolve in
-    // argument order; a conflicting combination is a usage error now.
-    if has("--no-cache") && has("--cache-size") {
-        eprintln!("--no-cache conflicts with --cache-size (use --cache-size 0 to disable)");
-        return ExitCode::FAILURE;
-    }
 
     // ---- load the network ------------------------------------------------
     let net: Network = if has("--demo") {
@@ -293,9 +297,9 @@ fn main() -> ExitCode {
         }
         let report = dplint::lint_all(&net, &lint_queries);
         if has("--lint-json") {
-            println!("{}", envelope("lint-report", &report.to_json()));
+            outln!("{}", envelope("lint-report", &report.to_json()));
         } else {
-            println!("{report}");
+            outln!("{report}");
         }
         return ExitCode::from(report.exit_code() as u8);
     }
@@ -385,9 +389,6 @@ fn main() -> ExitCode {
     let json_output = has("--json");
 
     // Answer cache (dual engine only; Moped has no cache).
-    if has("--no-cache") {
-        builder = builder.cache_size(0);
-    }
     if let Some(v) = value("--cache-size") {
         match v.parse::<usize>() {
             Ok(n) => builder = builder.cache_size(n),
@@ -464,7 +465,7 @@ fn main() -> ExitCode {
     let summary = session.verify_stream(lines, &stream_opts, &mut |ev| match ev {
         StreamEvent::Answer { text, answer, .. } => {
             if json_output {
-                println!(
+                outln!(
                     "{}",
                     envelope(
                         "answer",
@@ -481,9 +482,9 @@ fn main() -> ExitCode {
         }
     });
     if json_output && from_stdin {
-        println!("{}", envelope("stream-summary", &summary.to_json()));
+        outln!("{}", envelope("stream-summary", &summary.to_json()));
     } else if json_output {
-        println!("{}", envelope("batch-summary", &summary.batch.to_json()));
+        outln!("{}", envelope("batch-summary", &summary.batch.to_json()));
     } else if show_stats {
         print_summary(&summary.batch);
     }
@@ -524,7 +525,7 @@ fn stdin_queries(error: Arc<Mutex<Option<String>>>) -> impl Iterator<Item = Stri
 }
 
 fn print_summary(summary: &BatchSummary) {
-    println!(
+    outln!(
         "summary: {} queries — {} satisfied, {} unsatisfied, {} inconclusive, {} aborted, \
          {} errors; solve p50 {:.3} ms, p95 {:.3} ms, max {:.3} ms",
         summary.total,
